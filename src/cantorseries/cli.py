@@ -359,6 +359,10 @@ def _plain_scalar(value: Any) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact results such as block products can run past the default
+        # 4,300-digit limit on printing an int (Python 3.10.7+).
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import islice
+from typing import Iterator, Sequence
 
-from .foundation import DomainError, QSequence, Rational, base_product, q_at
+from .foundation import DomainError, QSequence, Rational, _check_int, base_product, iter_bases
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class DigitWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digits", tuple(self.digits))
-        if self.start < 1:
-            raise DomainError(f"digit positions are 1-based, got start={self.start}")
+        _check_int(self.start, 1, "digit word start")
         for off, d in enumerate(self.digits):
             if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise DomainError(f"digit at position {self.start + off} must be a nonnegative integer, got {d!r}")
@@ -60,17 +60,39 @@ class Enclosure:
 
 
 def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
-    v = Fraction(x)
-    if not 0 <= v < 1:
-        raise DomainError(f"{what} must lie in [0, 1), got {v}")
-    return v
+    if isinstance(x, int) and not isinstance(x, bool):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
+    if not 0 <= x < 1:
+        raise DomainError(f"{what} must lie in [0, 1), got {x}")
+    return x
+
+
+def _residues(x: Fraction, Q: QSequence) -> Iterator[tuple[int, int]]:
+    """Endless digits and states (e_k, u_k) of reduced x = u_0/v, where
+    e_k, u_k = divmod(q_k * u_{k-1}, v): the shift operator on integers,
+    since sigma^k(x) = u_k/v.  Only the current state is held."""
+    u, v = x.numerator, x.denominator
+    for q in iter_bases(Q):
+        d, u = divmod(q * u, v)
+        yield d, u
+
+
+def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, int]:
+    """(N, P) for digits at positions start, start+1, ...: P is the product
+    of their bases and N = sum e_i * (product of the bases after i), so the
+    digits are worth N/P in the radix system that begins at `start`."""
+    num, prod = 0, 1
+    for q, d in zip(iter_bases(Q, start), digits):
+        num = num * q + d
+        prod *= q
+    return num, prod
 
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1}."""
-    for off, d in enumerate(word.digits):
-        k = word.start + off
-        q = q_at(Q, k)
+    for k, (q, d) in enumerate(zip(iter_bases(Q, word.start), word.digits), word.start):
         if d >= q:
             raise DomainError(f"digit {d} at position {k} out of range for base {q}")
 
@@ -99,43 +121,30 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     identity quoted in the module docstring.
     """
     x = _unit_value(x)
-    if count < 1:
-        raise DomainError(f"digit count must be positive, got {count}")
-    u, v = x.numerator, x.denominator
     out = []
-    for k in range(1, count + 1):
-        q = q_at(Q, k)
-        d, u = divmod(q * u, v)
-        # incremental partial-sum identity: digit in alphabet, state in [0, 1)
-        assert 0 <= d < q and 0 <= u < v
+    for d, u in islice(_residues(x, Q), _check_int(count, 1, "digit count")):
         out.append(d)
-    word = DigitWord(tuple(out))
-    return word, ShiftState(count, Fraction(u, v))
+    return DigitWord(out), ShiftState(count, Fraction(u, x.denominator))
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
     """Exact value sigma^n(x) of the n-times shifted tail."""
     x = _unit_value(x)
-    if n < 0:
-        raise DomainError(f"shift count must be >= 0, got {n}")
-    u, v = x.numerator, x.denominator
-    for k in range(1, n + 1):
-        u = q_at(Q, k) * u % v
-    return Fraction(u, v)
+    u = x.numerator
+    for _, u in islice(_residues(x, Q), _check_int(n, 0, "shift count")):
+        pass
+    return Fraction(u, x.denominator)
 
 
 def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftState]]:
-    """Generator facade over shift_step: yields (digit, state) forever.
+    """Yields (digit, state) forever, the state being sigma^k(x) after digit k.
 
     Holds a private cursor; the exact states it yields make resumption from
     any point trivial.
     """
-    state = ShiftState(0, _unit_value(x))
-    k = 0
-    while True:
-        k += 1
-        digit, state = shift_step(state, q_at(Q, k))
-        yield digit, state
+    x = _unit_value(x)
+    for k, (d, u) in enumerate(_residues(x, Q), 1):
+        yield d, ShiftState(k, Fraction(u, x.denominator))
 
 
 def local_value(word: DigitWord, Q: QSequence) -> Fraction:
@@ -145,13 +154,7 @@ def local_value(word: DigitWord, Q: QSequence) -> Fraction:
     contribution of the word to the shifted tail sigma^{s-1}.
     """
     validate_digits(word, Q)
-    num = 0
-    den = 1
-    for off, d in enumerate(word.digits):
-        q = q_at(Q, word.start + off)
-        num = num * q + d
-        den *= q
-    return Fraction(num, den)
+    return Fraction(*_positional(word.digits, Q, word.start))
 
 
 def evaluate_finite(word: DigitWord, Q: QSequence) -> Rational:

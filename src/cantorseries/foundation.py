@@ -12,10 +12,11 @@ their text grammar, and tail-minimum queries; rationals are plain
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -32,40 +33,20 @@ class UndecidableError(DomainError):
     """The requested property is not decidable from declared sequence facts."""
 
 
-def _check_base(value: int, position: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"base at position {position} must be an integer, got {value!r}")
-    if value < 2:
-        raise ValueError(f"base at position {position} must be >= 2, got {value}")
+def _check_int(value: object, lowest: int, what: str) -> int:
+    """Return value if it is an int (never a bool) >= lowest; else raise DomainError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < lowest:
+        raise DomainError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Every position uses the same base."""
+class ListBacked:
+    """A finite, possibly empty prefix of bases followed by a cycling period.
 
-    base: int
-
-    def __post_init__(self) -> None:
-        _check_base(self.base, 1)
-
-
-@dataclass(frozen=True)
-class Periodic:
-    """Bases cycle through a fixed finite list, starting at position 1."""
-
-    period: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
-            raise ValueError("periodic base sequence needs at least one entry")
-        for i, b in enumerate(self.period, 1):
-            _check_base(b, i)
-
-
-@dataclass(frozen=True)
-class PrefixPeriodic:
-    """A finite prefix of bases followed by a cycling period."""
+    Build it through `Constant`, `Periodic` or `PrefixPeriodic`; the three
+    spellings make the same kind of value, so `Periodic((7,)) == Constant(7)`.
+    """
 
     prefix: tuple[int, ...]
     period: tuple[int, ...]
@@ -73,10 +54,27 @@ class PrefixPeriodic:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "period", tuple(self.period))
-        if not self.prefix or not self.period:
-            raise ValueError("prefix-periodic base sequence needs a non-empty prefix and period")
+        if not self.period:
+            raise DomainError("a list-backed base sequence needs at least one period entry")
         for i, b in enumerate(self.prefix + self.period, 1):
-            _check_base(b, i)
+            _check_int(b, 2, f"base at position {i}")
+
+
+def Constant(base: int) -> ListBacked:
+    """Every position uses the same base."""
+    return ListBacked((), (base,))
+
+
+def Periodic(period: Sequence[int]) -> ListBacked:
+    """Bases cycle through a fixed finite list, starting at position 1."""
+    return ListBacked((), period)
+
+
+def PrefixPeriodic(prefix: Sequence[int], period: Sequence[int]) -> ListBacked:
+    """A non-empty finite prefix of bases followed by a cycling period."""
+    if not prefix:
+        raise DomainError("prefix-periodic base sequence needs a non-empty prefix")
+    return ListBacked(prefix, period)
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,10 @@ class Rule:
 
     def __post_init__(self) -> None:
         if self.rule_id not in RULE_CATALOG:
-            raise ValueError(f"unknown rule {self.rule_id!r}; known rules: {sorted(RULE_CATALOG)}")
+            raise DomainError(f"unknown rule {self.rule_id!r}; known rules: {sorted(RULE_CATALOG)}")
 
 
-QSequence = Union[Constant, Periodic, PrefixPeriodic, Rule]
+QSequence = Union[ListBacked, Rule]
 
 
 @dataclass(frozen=True)
@@ -122,46 +120,49 @@ RULE_CATALOG: dict[str, _RuleInfo] = {
 }
 
 
+def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
+    """Endless iterator over the bases q_start, q_{start+1}, ..."""
+    _check_int(start, 1, "base position")
+    if isinstance(Q, Rule):
+        return map(RULE_CATALOG[Q.rule_id].base, itertools.count(start))
+    if not isinstance(Q, ListBacked):
+        raise TypeError(f"not a QSequence: {Q!r}")
+    pre, per = Q.prefix, Q.period
+    if start <= len(pre):
+        return itertools.chain(pre[start - 1 :], itertools.cycle(per))
+    return itertools.islice(itertools.cycle(per), (start - len(pre) - 1) % len(per), None)
+
+
 def q_at(Q: QSequence, k: int) -> int:
     """Base q_k at 1-based position k."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"base positions are 1-based, got {k!r}")
-    match Q:
-        case Constant(base=b):
-            return b
-        case Periodic(period=p):
-            return p[(k - 1) % len(p)]
-        case PrefixPeriodic(prefix=a, period=p):
-            if k <= len(a):
-                return a[k - 1]
-            return p[(k - len(a) - 1) % len(p)]
-        case Rule(rule_id=r):
-            return RULE_CATALOG[r].base(k)
-    raise TypeError(f"not a QSequence: {Q!r}")
+    return next(iter_bases(Q, k))
 
 
 def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     """The bases q_start, ..., q_{start+count-1}."""
-    return tuple(q_at(Q, k) for k in range(start, start + count))
+    return tuple(itertools.islice(iter_bases(Q, start), _check_int(count, 0, "base count")))
 
 
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
-    """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty."""
-    return math.prod(q_at(Q, k) for k in range(lo, hi + 1))
+    """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
+
+    For list-backed sequences only the prefix part and one partial period
+    are multiplied out; the whole periods in between are one power.
+    """
+    count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
+    if count <= 0:
+        return 1
+    it = iter_bases(Q, lo)
+    if isinstance(Q, Rule):
+        return math.prod(itertools.islice(it, count))
+    head = min(count, max(0, len(Q.prefix) - lo + 1))
+    cycles, rest = divmod(count - head, len(Q.period))
+    return math.prod(itertools.islice(it, head + rest)) * math.prod(Q.period) ** cycles
 
 
 def prefix_and_period(Q: QSequence) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Prefix/period view of a list-backed sequence, or None for rule kinds."""
-    match Q:
-        case Constant(base=b):
-            return (), (b,)
-        case Periodic(period=p):
-            return (), p
-        case PrefixPeriodic(prefix=a, period=p):
-            return a, p
-        case Rule():
-            return None
-    raise TypeError(f"not a QSequence: {Q!r}")
+    return None if isinstance(Q, Rule) else (Q.prefix, Q.period)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -211,17 +212,16 @@ def parse_qseq(text: str) -> QSequence:
 
 
 def format_qseq(Q: QSequence) -> str:
-    """Render a QSequence back into the grammar; inverse of parse_qseq."""
-    match Q:
-        case Constant(base=b):
-            return f"const:{b}"
-        case Periodic(period=p):
-            return "periodic:" + ",".join(map(str, p))
-        case PrefixPeriodic(prefix=a, period=p):
-            return "prefix:" + ",".join(map(str, a)) + ";" + ",".join(map(str, p))
-        case Rule(rule_id=r):
-            return f"rule:{r}"
-    raise TypeError(f"not a QSequence: {Q!r}")
+    """Render a QSequence back into the grammar; inverse of parse_qseq.
+
+    A list-backed value takes the shortest spelling that describes it.
+    """
+    if isinstance(Q, Rule):
+        return f"rule:{Q.rule_id}"
+    period = ",".join(map(str, Q.period))
+    if Q.prefix:
+        return "prefix:" + ",".join(map(str, Q.prefix)) + ";" + period
+    return ("const:" if len(Q.period) == 1 else "periodic:") + period
 
 
 @dataclass(frozen=True)
@@ -239,19 +239,13 @@ class TailMin:
 def tail_min(Q: QSequence, n0: int = 0) -> TailMin:
     """Exact minimum of q_k over k > n0.
 
-    List-backed kinds are decided by enumerating the remaining prefix plus
-    one full period.  Rule kinds are decided only when the catalog declares
+    List-backed kinds are decided by the remaining prefix plus one full
+    period.  Rule kinds are decided only when the catalog declares
     the rule monotone increasing, in which case the minimum is q_{n0+1}.
     """
-    if n0 < 0:
-        raise DomainError(f"tail minimum needs n0 >= 0, got {n0}")
-    view = prefix_and_period(Q)
-    if view is not None:
-        pre, per = view
-        # Positions n0+1 .. max(n0, len(pre)) + len(per) cover whatever is
-        # left of the prefix and one full period.
-        hi = max(n0, len(pre)) + len(per)
-        return TailMin(n0, min(q_at(Q, k) for k in range(n0 + 1, hi + 1)), True)
+    _check_int(n0, 0, "tail start n0")
+    if not isinstance(Q, Rule):
+        return TailMin(n0, min(Q.prefix[n0:] + Q.period), True)
     info = RULE_CATALOG[Q.rule_id]
     if info.monotone_increasing:
         return TailMin(n0, q_at(Q, n0 + 1), True)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .foundation import DomainError, QSequence, Rational, base_product, q_at
-from .expansion import DigitWord, _unit_value, evaluate_finite, expand, shift_value, validate_digits
+from .foundation import DomainError, QSequence, Rational, base_product
+from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,22 @@ class BlockDescription:
             raise DomainError(f"block must start at position {want}, got {self.block.start}")
 
 
+def _recurrence(x: Rational | int, Q: QSequence) -> tuple[Fraction, int, int, int, list[int]]:
+    """Scan for the earliest recurrence: (x, n, m, u_n, digits 1..n+m).
+
+    Records the first step at which each state u_k appears and stops at the
+    first state seen twice, at step n + m.
+    """
+    x = _unit_value(x)
+    first_seen = {x.numerator: 0}
+    digits = []
+    for d, u in _residues(x, Q):
+        digits.append(d)
+        n = first_seen.setdefault(u, len(digits))
+        if n < len(digits):
+            return x, n, len(digits) - n, u, digits
+
+
 def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
     """Earliest shift-state recurrence of x under Q.
 
@@ -80,18 +97,8 @@ def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
     n + m (the first collision happens at step n + m), which makes the
     output canonical even though any later recurrence would certify too.
     """
-    x = _unit_value(x)
-    u, v = x.numerator, x.denominator
-    first_seen = {u: 0}
-    step = 0
-    while True:
-        step += 1
-        u = q_at(Q, step) * u % v
-        n = first_seen.get(u)
-        if n is not None:
-            m = step - n
-            return RationalityCertificate(n, m, Fraction(u, v), base_product(Q, n + 1, n + m))
-        first_seen[u] = step
+    x, n, m, u, _ = _recurrence(x, Q)
+    return RationalityCertificate(n, m, Fraction(u, x.denominator), base_product(Q, n + 1, n + m))
 
 
 def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertificate) -> CertificateCheck:
@@ -103,17 +110,23 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     the reduced denominator v divides q1...q_n * (P - 1).  Non-minimal
     certificates pass: any valid recurrence certifies.
     """
-    if cert.n < 0 or cert.m < 1:
+    n, m = cert.n, cert.m
+    if any(not isinstance(f, int) or isinstance(f, bool) for f in (n, m)) or n < 0 or m < 1:
         return CertificateCheck(False, "invalid_fields", False, False)
     try:
         x = _unit_value(x)
-    except (DomainError, ValueError, TypeError, ZeroDivisionError):
+    except DomainError:
         return CertificateCheck(False, "value_out_of_range", False, False)
-    sigma_n = shift_value(x, Q, cert.n)
-    sigma_nm = shift_value(x, Q, cert.n + cert.m)
-    product = base_product(Q, cert.n + 1, cert.n + cert.m)
-    recurrence_ok = sigma_n == sigma_nm
-    divisibility_ok = base_product(Q, 1, cert.n) * (product - 1) % x.denominator == 0
+    u_n = x.numerator
+    steps = _residues(x, Q)
+    for _, u_n in islice(steps, n):
+        pass
+    for _, u in islice(steps, m):
+        pass
+    sigma_n = Fraction(u_n, x.denominator)
+    product = base_product(Q, n + 1, n + m)
+    recurrence_ok = u == u_n
+    divisibility_ok = base_product(Q, 1, n) * (product - 1) % x.denominator == 0
     if not recurrence_ok:
         return CertificateCheck(False, "recurrence_mismatch", False, divisibility_ok)
     if cert.sigma_value != sigma_n:
@@ -126,13 +139,13 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
 
 
 def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
-    """Eventually-recurring digit description of x: certify, then expand."""
-    cert = certify_rational(x, Q)
-    word, _ = expand(x, Q, cert.n + cert.m)
-    return BlockDescription(
-        DigitWord(word.digits[: cert.n]),
-        DigitWord(word.digits[cert.n :], start=cert.n + 1),
-    )
+    """Eventually-recurring digit description of x.
+
+    The digits come from the same scan that certify_rational runs, so they
+    equal certify-then-expand split at n.
+    """
+    _, n, _, _, digits = _recurrence(x, Q)
+    return BlockDescription(DigitWord(digits[:n]), DigitWord(digits[n:], start=n + 1))
 
 
 def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:
@@ -140,42 +153,13 @@ def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:
 
     With P the block's base product and N its positional numerator
     (e_{n+1}*q_{n+2}...q_{n+m} + ... + e_{n+m}), the recurring tail sums to
-    sigma^n = N/(P - 1); the preperiod then places it:
-    x = value(preperiod) + sigma^n/(q1...q_n).
+    sigma^n = N/(P - 1); the preperiod, worth H/D, then places it:
+    x = H/D + sigma^n/D.  N = P - 1 exactly when every block digit is maximal.
     """
     validate_digits(desc.preperiod, Q)
     validate_digits(desc.block, Q)
-    num = 0
-    product = 1
-    all_max = True
-    for off, d in enumerate(desc.block.digits):
-        q = q_at(Q, desc.block.start + off)
-        num = num * q + d
-        product *= q
-        all_max = all_max and d == q - 1
-    if all_max:
+    num, product = _positional(desc.block.digits, Q, desc.block.start)
+    if num == product - 1:
         raise DomainError("all-maximal block describes the excluded endpoint value 1")
-    sigma_n = Fraction(num, product - 1)
-    head = evaluate_finite(desc.preperiod, Q)
-    return head + sigma_n / base_product(Q, 1, len(desc.preperiod))
-
-
-def tails_equal(x: Rational | int, Q: QSequence, n: int, m: int) -> bool:
-    """Whether the shifted tails at depths n and n+m carry the same value.
-
-    Equivalent statements: sigma^n(x) = sigma^{n+m}(x), or the tail of the
-    series after position n equals q_{n+1}...q_{n+m} times the tail after
-    position n+m once both are rescaled to position-1 weight.
-    """
-    x = _unit_value(x)
-    if n < 0:
-        raise DomainError(f"tail depth must be >= 0, got {n}")
-    if m < 1:
-        raise DomainError(f"tail gap must be >= 1, got {m}")
-    u, v = x.numerator, x.denominator
-    for k in range(1, n + 1):
-        u = q_at(Q, k) * u % v
-    u_n = u
-    for k in range(n + 1, n + m + 1):
-        u = q_at(Q, k) * u % v
-    return u_n == u
+    head, den = _positional(desc.preperiod.digits, Q, 1)
+    return Fraction(head * (product - 1) + num, den * (product - 1))

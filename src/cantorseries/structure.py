@@ -19,15 +19,18 @@ from .foundation import (
     QSequence,
     RULE_CATALOG,
     Rational,
-    Rule,
     UndecidableError,
+    _check_int,
     base_product,
+    bases,
+    iter_bases,
     prefix_and_period,
     q_at,
     tail_min,
 )
 from .expansion import (
     DigitWord,
+    _positional,
     _unit_value,
     evaluate_finite,
     expand,
@@ -66,7 +69,8 @@ def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
     word = DigitWord(tuple(digits))
     validate_digits(word, Q)
     ds = list(word.digits)
-    while ds and ds[-1] == q_at(Q, len(ds)) - 1:
+    qs = bases(Q, len(ds))
+    while ds and ds[-1] == qs[len(ds) - 1] - 1:
         ds.pop()
     if not ds:
         raise DomainError("head folds away entirely: the all-maximal expansion of 1 is out of domain")
@@ -144,40 +148,29 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     kill any even residual immediately); otherwise the search stops at
     `bound` and reports undecided.
     """
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise DomainError(f"dual representation is defined on (0, 1), got {x}")
-    if bound < 1:
-        raise DomainError(f"search bound must be positive, got {bound}")
+    x = _unit_value(x)
+    if x == 0:
+        raise DomainError("dual representation is defined on (0, 1), got 0")
+    _check_int(bound, 1, "search bound")
     residual = x.denominator
 
     view = prefix_and_period(Q)
-    if view is not None:
-        pre, per = view
-        k = 0
-        last_drop = 0
-        while residual > 1:
-            k += 1
-            g = math.gcd(residual, q_at(Q, k))
-            if g > 1:
-                residual //= g
-                last_drop = k
-            elif k - max(last_drop, len(pre)) >= len(per):
-                # One unproductive full period inside the cycle: the same
-                # residual meets the same bases forever.
-                return DualRepresentationReport("no")
-        n0 = k
-    else:
-        info = RULE_CATALOG[Q.rule_id]
-        if info.odd_entries and residual % 2 == 0:
+    if view is None and RULE_CATALOG[Q.rule_id].odd_entries and residual % 2 == 0:
+        return DualRepresentationReport("no")
+    last_drop = 0
+    for n0, q in enumerate(iter_bases(Q), 1):
+        g = math.gcd(residual, q)
+        if g > 1:
+            residual //= g
+            last_drop = n0
+            if residual == 1:
+                break
+        elif view is not None and n0 - max(last_drop, len(view[0])) >= len(view[1]):
+            # One unproductive full period inside the cycle: the same
+            # residual meets the same bases forever.
             return DualRepresentationReport("no")
-        k = 0
-        while residual > 1:
-            if k >= bound:
-                return DualRepresentationReport("undecided", bound=bound)
-            k += 1
-            residual //= math.gcd(residual, q_at(Q, k))
-        n0 = k
+        if view is None and n0 >= bound:
+            return DualRepresentationReport("undecided", bound=bound)
 
     word, state = expand(x, Q, n0)
     if state.value != 0:
@@ -224,21 +217,13 @@ def shift_constant_check(
     if isinstance(x, BlockDescription):
         x = reconstruct(x, Q)
     x = _unit_value(x)
-    if n0 < 0:
-        raise DomainError(f"window start must be >= 0, got {n0}")
-    if horizon < 1:
-        raise DomainError(f"window length must be positive, got {horizon}")
+    _check_int(n0, 0, "window start")
+    _check_int(horizon, 1, "window length")
 
     word, _ = expand(x, Q, n0 + horizon)
     target = shift_value(x, Q, n0)
-    witnesses = []
-    holds = True
-    for n in range(n0 + 1, n0 + horizon + 1):
-        e = word.digits[n - 1]
-        q = q_at(Q, n)
-        witnesses.append((n, e, q))
-        if Fraction(e, q - 1) != target:
-            holds = False
+    witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), word.digits[n0:], iter_bases(Q, n0 + 1)))
+    holds = all(Fraction(e, q - 1) == target for _, e, q in witnesses)
 
     if not holds:
         conclusive = True
@@ -250,7 +235,7 @@ def shift_constant_check(
             pre, per = view
             needed = (max(n0, len(pre)) - n0) + x.denominator * len(per)
             conclusive = horizon >= needed
-    return ShiftConstantReport(holds, n0, target if holds else None, tuple(witnesses), conclusive)
+    return ShiftConstantReport(holds, n0, target if holds else None, witnesses, conclusive)
 
 
 @dataclass(frozen=True)
@@ -305,8 +290,8 @@ def fixed_points(Q: QSequence) -> FixedPointReport:
         else:
             pre, per = view
             member, failing = True, None
-            for n in range(1, len(pre) + len(per) + 1):
-                if eps * (q_at(Q, n) - 1) % (q - 1) != 0:
+            for n, qn in enumerate(pre + per, 1):
+                if eps * (qn - 1) % (q - 1) != 0:
                     member, failing = False, n
                     break
         candidates.append(
@@ -329,11 +314,8 @@ def fixed_point_digits(Q: QSequence, eps: int, q: int | None = None) -> Iterator
         assert q is not None
     if not 0 <= eps <= q - 1:
         raise DomainError(f"digit candidate must lie in 0..{q - 1}, got {eps}")
-    n = 0
-    while True:
-        n += 1
-        num = eps * (q_at(Q, n) - 1)
-        d, r = divmod(num, q - 1)
+    for n, qn in enumerate(iter_bases(Q), 1):
+        d, r = divmod(eps * (qn - 1), q - 1)
         if r:
             raise DomainError(f"candidate {eps} fails the integrality test at position {n}")
         yield d
@@ -390,14 +372,13 @@ def regroup(
         bps = tuple(breakpoints)
         if count is None:
             count = len(bps)
-    if count < 1:
-        raise DomainError(f"block count must be positive, got {count}")
+    _check_int(count, 1, "block count")
     if len(bps) < count:
         raise DomainError(f"need {count} breakpoints, got {len(bps)}")
     bps = bps[:count]
     prev = 0
     for nk in bps:
-        if nk <= prev:
+        if isinstance(nk, bool) or not isinstance(nk, int) or nk <= prev:
             raise DomainError(f"breakpoints must be strictly increasing positive integers, got {bps}")
         prev = nk
 
@@ -406,20 +387,11 @@ def regroup(
     x = _unit_value(x)
 
     word, _ = expand(x, Q, bps[-1])
-    new_bases = []
     blocks = []
-    lams = []
     lo = 0
     for nk in bps:
-        lam = 0
-        prod = 1
-        for pos in range(lo + 1, nk + 1):
-            q = q_at(Q, pos)
-            lam = lam * q + word.digits[pos - 1]
-            prod *= q
-        new_bases.append(prod)
+        lam, prod = _positional(word.digits[lo:nk], Q, lo + 1)
         blocks.append(RegroupBlock(lam, prod - 1))
-        lams.append(lam)
         lo = nk
 
     mu = min(b.mu for b in blocks)
@@ -427,4 +399,4 @@ def regroup(
     ratio_constant = len({Fraction(b.lam, b.mu) for b in blocks}) == 1
     proportional = all(b.lam * mu == b.mu * lam_star for b in blocks)
     report = Regrouping(bps, tuple(blocks), mu, lam_star, ratio_constant, proportional)
-    return tuple(new_bases), DigitWord(tuple(lams)), report
+    return tuple(b.mu + 1 for b in blocks), DigitWord(b.lam for b in blocks), report

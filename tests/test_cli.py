@@ -182,3 +182,14 @@ def test_errors_go_to_stderr_not_stdout(capsys):
     assert code == 2
     assert out == ""
     assert "domain error" in err
+
+
+def test_integers_past_the_default_int_to_str_limit(capsys):
+    # const:10 recurs on 1/100003 after m = 50001 steps: the block product
+    # 10**50001 has more digits than Python prints by default.
+    code, plain, err = run_cli(capsys, "certify", "--q", "const:10", "--x", "rat:1/100003")
+    assert code == 0 and err == ""
+    code, report, err = run_json(capsys, "certify", "--q", "const:10", "--x", "rat:1/100003")
+    assert code == 0 and err == ""
+    assert report["block_product"] == 10 ** report["m"]
+    assert f"block_product: {report['block_product']}" in plain

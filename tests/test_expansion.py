@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -159,3 +160,25 @@ def test_digit_word_validation():
     validate_digits(DigitWord((4,), start=2), parse_qseq("periodic:2,5"))
     with pytest.raises(DomainError):
         validate_digits(DigitWord((4,), start=1), parse_qseq("periodic:2,5"))
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, Decimal("0.5"), "1/3", False])
+def test_values_must_be_int_or_fraction(x):
+    with pytest.raises(DomainError):
+        expand(x, P23, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expand(Fraction(1, 3), P23, True),
+        lambda: expand(Fraction(1, 3), P23, 2.0),
+        lambda: shift_value(Fraction(1, 3), P23, True),
+        lambda: shift_value(Fraction(1, 3), P23, 1.0),
+        lambda: DigitWord((1,), start=1.0),
+        lambda: DigitWord((1,), start=True),
+    ],
+)
+def test_counts_and_positions_must_be_integers(call):
+    with pytest.raises(DomainError):
+        call()

@@ -61,11 +61,33 @@ def test_bases_and_product_helpers():
         lambda: PrefixPeriodic((2,), ()),
         lambda: PrefixPeriodic((2,), (3, 1)),
         lambda: Rule("squares"),
+        lambda: Periodic((2.0, 3)),
+        lambda: Constant(True),
     ],
 )
 def test_constructors_reject_invalid_sequences(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         bad()
+
+
+def test_one_entry_period_is_the_constant_sequence():
+    assert Periodic((7,)) == Constant(7)
+    assert format_qseq(Periodic((7,))) == "const:7"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bases(Periodic((2, 3)), 2.0),
+        lambda: bases(Periodic((2, 3)), True),
+        lambda: base_product(Periodic((2, 3)), 1, 2.0),
+        lambda: base_product(Periodic((2, 3)), 1, True),
+        lambda: tail_min(Periodic((2, 3)), 1.0),
+    ],
+)
+def test_counts_and_positions_must_be_integers(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,20 @@
 """Invariant checks driven by hypothesis over random values and sequences."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorseries import (
+    Constant,
+    DigitWord,
+    Periodic,
+    PrefixPeriodic,
+    Rule,
     ShiftState,
+    base_product,
+    bases,
     block_description,
     certify_rational,
     cofinite_value,
@@ -21,10 +29,41 @@ from cantorseries import (
     regroup,
     shift_step,
     shift_value,
-    tails_equal,
     verify_certificate,
 )
 from helpers import proper_fractions, qseqs
+
+REACH = 200  # positions the literal lists below cover
+
+
+@st.composite
+def sequences_with_literal_bases(draw):
+    """A QSequence plus its first REACH bases written out from the constructor
+    arguments (or the rule's formula) alone."""
+    entry = st.integers(min_value=2, max_value=12)
+    short = st.lists(entry, min_size=1, max_size=4).map(tuple)
+    kind = draw(st.sampled_from(["const", "periodic", "prefix", "rule"]))
+    if kind == "rule":
+        return Rule("odd"), [2 * k + 1 for k in range(1, REACH + 1)]
+    if kind == "const":
+        b = draw(entry)
+        return Constant(b), [b] * REACH
+    period = draw(short)
+    if kind == "periodic":
+        return Periodic(period), (list(period) * REACH)[:REACH]
+    prefix = draw(short)
+    return PrefixPeriodic(prefix, period), (list(prefix) + list(period) * REACH)[:REACH]
+
+
+@given(sequences_with_literal_bases(), st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=60))
+def test_base_layer_matches_literal_list(spec, start, count):
+    # start runs through the prefix, across its end and into mid-period;
+    # count 0 is the empty range.
+    Q, literal = spec
+    window = literal[start - 1 : start - 1 + count]
+    assert q_at(Q, start) == literal[start - 1]
+    assert bases(Q, count, start) == tuple(window)
+    assert base_product(Q, start, start + count - 1) == math.prod(window)
 
 
 @given(qseqs())
@@ -94,12 +133,21 @@ def test_certificates_respect_pigeonhole_and_verify(x, Q):
     assert cert.n >= 0 and cert.m >= 1
     assert cert.n + cert.m <= x.denominator
     assert verify_certificate(x, Q, cert).ok
-    assert tails_equal(x, Q, cert.n, cert.m)
+    assert shift_value(x, Q, cert.n) == shift_value(x, Q, cert.n + cert.m)
 
 
 @given(proper_fractions(max_denominator=80), qseqs())
 def test_block_description_round_trip(x, Q):
     assert reconstruct(block_description(x, Q), Q) == x
+
+
+@given(proper_fractions(max_denominator=80), qseqs())
+def test_block_description_is_certify_then_expand(x, Q):
+    cert = certify_rational(x, Q)
+    word, _ = expand(x, Q, cert.n + cert.m)
+    desc = block_description(x, Q)
+    assert desc.preperiod == DigitWord(word.digits[: cert.n])
+    assert desc.block == DigitWord(word.digits[cert.n :], start=cert.n + 1)
 
 
 @given(proper_fractions(max_denominator=50), qseqs())

@@ -15,7 +15,7 @@ from cantorseries import (
     certify_rational,
     expand,
     reconstruct,
-    tails_equal,
+    shift_value,
     verify_certificate,
 )
 from helpers import oracle_shift_states
@@ -98,6 +98,12 @@ def test_verify_rejects_wrong_fields_without_raising():
     assert verify_certificate(Fraction(1, 3), D10, wrong_product).reason == "block_product_mismatch"
 
 
+@pytest.mark.parametrize("n,m", [(1.5, 1), (0, 1.0), ("0", 1), (True, 1), (0, True)])
+def test_verify_rejects_non_integer_fields_without_raising(n, m):
+    cert = RationalityCertificate(n, m, Fraction(1, 3), 10)
+    assert verify_certificate(Fraction(1, 3), D10, cert).reason == "invalid_fields"
+
+
 def test_reconstruct_single_block_digit():
     desc = BlockDescription(DigitWord(()), DigitWord((1,)))
     assert reconstruct(desc, ODD) == Fraction(1, 2)
@@ -151,26 +157,26 @@ def test_pigeonhole_bound_small_sweep():
 
 
 def test_tails_equal_constant_shift_value():
-    assert tails_equal(Fraction(1, 2), ODD, 2, 5)
+    assert shift_value(Fraction(1, 2), ODD, 2) == shift_value(Fraction(1, 2), ODD, 2 + 5)
 
 
 def test_tails_equal_detects_difference():
-    assert not tails_equal(Fraction(5, 6), P23, 0, 2)
+    assert shift_value(Fraction(5, 6), P23, 0) != shift_value(Fraction(5, 6), P23, 0 + 2)
 
 
 def test_tails_equal_zero():
-    assert tails_equal(Fraction(0), Constant(2), 0, 1)
+    assert shift_value(Fraction(0), Constant(2), 0) == shift_value(Fraction(0), Constant(2), 0 + 1)
 
 
 def test_tails_equal_matches_certificate():
     for x in [Fraction(3, 11), Fraction(7, 9)]:
         for Q in [P23, D10]:
             cert = certify_rational(x, Q)
-            assert tails_equal(x, Q, cert.n, cert.m)
+            assert shift_value(x, Q, cert.n) == shift_value(x, Q, cert.n + cert.m)
 
 
 def test_tails_equal_argument_checks():
     with pytest.raises(DomainError):
-        tails_equal(Fraction(1, 2), P23, -1, 1)
-    with pytest.raises(DomainError):
-        tails_equal(Fraction(1, 2), P23, 0, 0)
+        shift_value(Fraction(1, 2), P23, -1)
+    gapless = RationalityCertificate(0, 0, Fraction(1, 2), 1)
+    assert verify_certificate(Fraction(1, 2), P23, gapless).reason == "invalid_fields"
