@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .foundation import DomainError, QSequence, Rational, _check_int, base_product, iter_bases
+from .foundation import DomainError, QSequence, Rational, _base_product_mod, _check_int, base_product, iter_bases
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,42 @@ def _residues(x: Fraction, Q: QSequence) -> Iterator[tuple[int, int]]:
         yield d, u
 
 
+_RUN = 64  # digits folded one multiply at a time before runs are merged
+
+
 def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, int]:
     """(N, P) for digits at positions start, start+1, ...: P is the product
     of their bases and N = sum e_i * (product of the bases after i), so the
-    digits are worth N/P in the radix system that begins at `start`."""
-    num, prod = 0, 1
-    for q, d in zip(iter_bases(Q, start), digits):
-        num = num * q + d
-        prod *= q
+    digits are worth N/P in the radix system that begins at `start`.
+
+    Past one run of _RUN digits, each run is folded on its own and adjacent
+    (N1, P1), (N2, P2) merge as (N1*P2 + N2, P1*P2) whenever both cover the
+    same number of runs, like a binary counter; the large multiplies then
+    pair operands of equal size, which makes the cost O(M(m) log m) instead
+    of O(m^2).  The bases are streamed, never listed.
+    """
+    pairs = zip(iter_bases(Q, start), digits)
+    if len(digits) <= _RUN:
+        num, prod = 0, 1
+        for q, d in pairs:
+            num = num * q + d
+            prod *= q
+        return num, prod
+    stack: list[tuple[int, int, int]] = []  # (N, P, runs covered)
+    for _ in range(0, len(digits), _RUN):
+        num, prod = 0, 1
+        for q, d in islice(pairs, _RUN):
+            num = num * q + d
+            prod *= q
+        runs = 1
+        while stack and stack[-1][2] == runs:
+            left_num, left_prod, _ = stack.pop()
+            num, prod, runs = left_num * prod + num, left_prod * prod, 2 * runs
+        stack.append((num, prod, runs))
+    num, prod, _ = stack.pop()
+    while stack:
+        left_num, left_prod, _ = stack.pop()
+        num, prod = left_num * prod + num, left_prod * prod
     return num, prod
 
 
@@ -128,12 +156,15 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
-    """Exact value sigma^n(x) of the n-times shifted tail."""
+    """Exact value sigma^n(x) of the n-times shifted tail.
+
+    On reduced x = u/v, sigma^n(x) = u_n/v with u_n = u * (q1...q_n mod v)
+    mod v, so no shift step is walked: one modular power for list-backed Q,
+    n small modular multiplies for rule sequences.
+    """
     x = _unit_value(x)
-    u = x.numerator
-    for _, u in islice(_residues(x, Q), _check_int(n, 0, "shift count")):
-        pass
-    return Fraction(u, x.denominator)
+    v = x.denominator
+    return Fraction(x.numerator * _base_product_mod(Q, 1, _check_int(n, 0, "shift count"), v) % v, v)
 
 
 def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftState]]:

@@ -143,21 +143,44 @@ def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     return tuple(itertools.islice(iter_bases(Q, start), _check_int(count, 0, "base count")))
 
 
+def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int]:
+    """q_lo * ... * q_hi as (factors, whole, cycles): the product of the finite
+    iterator `factors` times whole ** cycles.
+
+    For list-backed sequences `factors` holds only the prefix part and one
+    partial period, and whole is the product of a full period; rule
+    sequences yield every base as a factor.
+    """
+    count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
+    if count <= 0:
+        return iter(()), 1, 0
+    it = iter_bases(Q, lo)
+    if isinstance(Q, Rule):
+        return itertools.islice(it, count), 1, 0
+    head = min(count, max(0, len(Q.prefix) - lo + 1))
+    cycles, rest = divmod(count - head, len(Q.period))
+    return itertools.islice(it, head + rest), math.prod(Q.period), cycles
+
+
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
     """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
 
     For list-backed sequences only the prefix part and one partial period
     are multiplied out; the whole periods in between are one power.
     """
-    count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
-    if count <= 0:
-        return 1
-    it = iter_bases(Q, lo)
-    if isinstance(Q, Rule):
-        return math.prod(itertools.islice(it, count))
-    head = min(count, max(0, len(Q.prefix) - lo + 1))
-    cycles, rest = divmod(count - head, len(Q.period))
-    return math.prod(itertools.islice(it, head + rest)) * math.prod(Q.period) ** cycles
+    factors, whole, cycles = _product_split(Q, lo, hi)
+    return math.prod(factors) * whole**cycles
+
+
+def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
+    """base_product(Q, lo, hi) % modulus without the big product: one modular
+    power for the whole periods and one small multiply per other factor,
+    which for rule sequences is hi - lo + 1 steps."""
+    factors, whole, cycles = _product_split(Q, lo, hi)
+    out = pow(whole, cycles, modulus)
+    for q in factors:
+        out = out * q % modulus
+    return out
 
 
 def prefix_and_period(Q: QSequence) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
-from .foundation import DomainError, QSequence, Rational, base_product
+from .foundation import DomainError, QSequence, Rational, _base_product_mod, base_product
 from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
 
 
@@ -105,10 +104,16 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     """Re-derive a certificate's claims by direct exact recomputation.
 
     Total: never raises.  Checks, in order, that the fields are in range,
-    that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x) recomputed from
-    scratch, that the recorded shift value and block product match, and that
-    the reduced denominator v divides q1...q_n * (P - 1).  Non-minimal
-    certificates pass: any valid recurrence certifies.
+    that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the
+    recorded shift value and block product match, and that the reduced
+    denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
+    pass: any valid recurrence certifies.
+
+    No shift steps are walked.  With x = u_0/v and u_k = q_k * u_{k-1} mod v,
+    u_n = u_0 * (q1...q_n mod v) mod v and u_{n+m} = u_n * P mod v, so the
+    recurrence holds iff v divides u_n * (P - 1).  The cost is that of the
+    block product P plus, for list-backed Q, one modular power; rule
+    sequences take n small modular multiplies.
     """
     n, m = cert.n, cert.m
     if any(not isinstance(f, int) or isinstance(f, bool) for f in (n, m)) or n < 0 or m < 1:
@@ -117,16 +122,14 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
         x = _unit_value(x)
     except DomainError:
         return CertificateCheck(False, "value_out_of_range", False, False)
-    u_n = x.numerator
-    steps = _residues(x, Q)
-    for _, u_n in islice(steps, n):
-        pass
-    for _, u in islice(steps, m):
-        pass
-    sigma_n = Fraction(u_n, x.denominator)
+    v = x.denominator
+    head = _base_product_mod(Q, 1, n, v)
+    u_n = x.numerator * head % v
     product = base_product(Q, n + 1, n + m)
-    recurrence_ok = u == u_n
-    divisibility_ok = base_product(Q, 1, n) * (product - 1) % x.denominator == 0
+    gap = (product - 1) % v
+    recurrence_ok = u_n * gap % v == 0
+    divisibility_ok = head * gap % v == 0
+    sigma_n = Fraction(u_n, v)
     if not recurrence_ok:
         return CertificateCheck(False, "recurrence_mismatch", False, divisibility_ok)
     if cert.sigma_value != sigma_n:

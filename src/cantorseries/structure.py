@@ -21,7 +21,6 @@ from .foundation import (
     Rational,
     UndecidableError,
     _check_int,
-    base_product,
     bases,
     iter_bases,
     prefix_and_period,
@@ -83,8 +82,9 @@ def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
     The tail sum telescopes to exactly one unit of the head's last weight:
     sum_{k>m} (q_k - 1)/(q1...q_k) = 1/(q1...q_m).
     """
-    m = len(cof.head)
-    return evaluate_finite(cof.head, Q) + Fraction(1, base_product(Q, 1, m))
+    validate_digits(cof.head, Q)
+    num, prod = _positional(cof.head.digits, Q, 1)
+    return Fraction(num + 1, prod)
 
 
 def _validate_canonical(cof: CofiniteExpansion, Q: QSequence) -> None:
@@ -312,7 +312,8 @@ def fixed_point_digits(Q: QSequence, eps: int, q: int | None = None) -> Iterator
             raise UndecidableError("tail minimum undecidable: no digit rule")
         q = tm.value
         assert q is not None
-    if not 0 <= eps <= q - 1:
+    _check_int(q, 2, "minimum base q")
+    if not 0 <= _check_int(eps, 0, "digit candidate") <= q - 1:
         raise DomainError(f"digit candidate must lie in 0..{q - 1}, got {eps}")
     for n, qn in enumerate(iter_bases(Q), 1):
         d, r = divmod(eps * (qn - 1), q - 1)

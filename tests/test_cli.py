@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -59,6 +60,14 @@ def test_verify_json(capsys):
     assert report["ok"] is False and report["reason"] == "recurrence_mismatch"
     code, report, _ = run_json(capsys, "verify", "--q", "const:10", "--x", "rat:1/3", "--n", "-1", "--m", "1")
     assert report == {"ok": False, "reason": "invalid_fields", "recurrence_ok": False, "divisibility_ok": False}
+
+
+def test_verify_far_certificate_is_fast(capsys):
+    # n = 10**8: the check is a closed form in n, not a walk of n + m steps.
+    began = time.perf_counter()
+    code, report, _ = run_json(capsys, "verify", "--q", "const:10", "--x", "rat:1/3", "--n", "100000000", "--m", "1")
+    assert time.perf_counter() - began < 2.0
+    assert code == 0 and report["ok"] is True
 
 
 def test_reconstruct_json(capsys):

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorseries import (
-    Constant,
     DigitWord,
-    Periodic,
-    PrefixPeriodic,
-    Rule,
+    RationalityCertificate,
     ShiftState,
     base_product,
     bases,
@@ -31,28 +28,15 @@ from cantorseries import (
     shift_value,
     verify_certificate,
 )
-from helpers import proper_fractions, qseqs
-
-REACH = 200  # positions the literal lists below cover
-
-
-@st.composite
-def sequences_with_literal_bases(draw):
-    """A QSequence plus its first REACH bases written out from the constructor
-    arguments (or the rule's formula) alone."""
-    entry = st.integers(min_value=2, max_value=12)
-    short = st.lists(entry, min_size=1, max_size=4).map(tuple)
-    kind = draw(st.sampled_from(["const", "periodic", "prefix", "rule"]))
-    if kind == "rule":
-        return Rule("odd"), [2 * k + 1 for k in range(1, REACH + 1)]
-    if kind == "const":
-        b = draw(entry)
-        return Constant(b), [b] * REACH
-    period = draw(short)
-    if kind == "periodic":
-        return Periodic(period), (list(period) * REACH)[:REACH]
-    prefix = draw(short)
-    return PrefixPeriodic(prefix, period), (list(prefix) + list(period) * REACH)[:REACH]
+from cantorseries.expansion import _positional
+from helpers import (
+    oracle_certificate_check,
+    oracle_positional,
+    oracle_shift_states,
+    proper_fractions,
+    qseqs,
+    sequences_with_literal_bases,
+)
 
 
 @given(sequences_with_literal_bases(), st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=60))
@@ -64,6 +48,24 @@ def test_base_layer_matches_literal_list(spec, start, count):
     assert q_at(Q, start) == literal[start - 1]
     assert bases(Q, count, start) == tuple(window)
     assert base_product(Q, start, start + count - 1) == math.prod(window)
+
+
+# Lengths on both sides of every run and merge boundary of _positional
+# (runs of 64 digits, merged in balanced pairs), plus one long stack.
+MERGE_LENGTHS = [0, 1, 63, 64, 65, 128, 129, 191, 192, 1000, 1031]
+
+
+@given(
+    sequences_with_literal_bases(reach=1100),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from(MERGE_LENGTHS),
+    st.randoms(use_true_random=False),
+)
+def test_positional_matches_one_multiply_per_digit(spec, start, length, rng):
+    Q, literal = spec
+    qs = literal[start - 1 : start - 1 + length]
+    digits = tuple(rng.randrange(q) for q in qs)
+    assert _positional(digits, Q, start) == oracle_positional(digits, qs)
 
 
 @given(qseqs())
@@ -134,6 +136,27 @@ def test_certificates_respect_pigeonhole_and_verify(x, Q):
     assert cert.n + cert.m <= x.denominator
     assert verify_certificate(x, Q, cert).ok
     assert shift_value(x, Q, cert.n) == shift_value(x, Q, cert.n + cert.m)
+
+
+@given(
+    proper_fractions(max_denominator=80),
+    qseqs(),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-1, max_value=1),
+    st.sampled_from(["walk", "certified", "off"]),
+    st.integers(min_value=0, max_value=1),
+)
+def test_verify_certificate_matches_walk(x, Q, dn, k, dm, sigma_kind, product_off):
+    # Minimal certificates, later and longer valid ones (n + dn, k * m), and
+    # invalid ones: a gap off by one, a wrong shift value, a wrong product.
+    cert = certify_rational(x, Q)
+    n, m = cert.n + dn, max(1, k * cert.m + dm)
+    walked = oracle_shift_states(x, Q, n)[n]
+    sigma = {"walk": walked, "certified": cert.sigma_value, "off": walked + Fraction(1, 7)}[sigma_kind]
+    product = math.prod(q_at(Q, i) for i in range(n + 1, n + m + 1)) + product_off
+    claim = RationalityCertificate(n, m, sigma, product)
+    assert verify_certificate(x, Q, claim) == oracle_certificate_check(x, Q, claim)
 
 
 @given(proper_fractions(max_denominator=80), qseqs())

@@ -104,6 +104,16 @@ def test_verify_rejects_non_integer_fields_without_raising(n, m):
     assert verify_certificate(Fraction(1, 3), D10, cert).reason == "invalid_fields"
 
 
+@pytest.mark.parametrize("Q,m", [(D10, 30010), (ODD, 184)])
+def test_reconstruct_long_block(Q, m):
+    # Blocks many runs of 64 digits long, so the positional numerator is
+    # built by merging runs.
+    x = Fraction(12345, 30011)
+    desc = block_description(x, Q)
+    assert len(desc.block) == m
+    assert reconstruct(desc, Q) == x
+
+
 def test_reconstruct_single_block_digit():
     desc = BlockDescription(DigitWord(()), DigitWord((1,)))
     assert reconstruct(desc, ODD) == Fraction(1, 2)

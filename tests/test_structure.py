@@ -281,6 +281,12 @@ def test_fixed_point_digits_range_check():
         next(fixed_point_digits(Periodic((3, 5)), 7, q=3))
 
 
+@pytest.mark.parametrize("eps,q", [(1.0, 3), (True, 3), (1, 3.0), (1, True), (0, 1)])
+def test_fixed_point_digits_need_integer_candidate_and_base(eps, q):
+    with pytest.raises(DomainError):
+        next(fixed_point_digits(Periodic((3, 5)), eps, q=q))
+
+
 # --- regrouping -----------------------------------------------------------------
 
 
