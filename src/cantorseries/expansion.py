@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .foundation import DomainError, QSequence, Rational, _base_product_mod, _check_int, base_product, iter_bases
 
@@ -82,30 +82,33 @@ def _residues(x: Fraction, Q: QSequence) -> Iterator[tuple[int, int]]:
 _RUN = 64  # digits folded one multiply at a time before runs are merged
 
 
+def _fold(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(N, P) of (base, digit) pairs, one multiply per digit."""
+    num, prod = 0, 1
+    for q, d in pairs:
+        num = num * q + d
+        prod *= q
+    return num, prod
+
+
 def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, int]:
     """(N, P) for digits at positions start, start+1, ...: P is the product
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    Past one run of _RUN digits, each run is folded on its own and adjacent
-    (N1, P1), (N2, P2) merge as (N1*P2 + N2, P1*P2) whenever both cover the
-    same number of runs, like a binary counter; the large multiplies then
-    pair operands of equal size, which makes the cost O(M(m) log m) instead
-    of O(m^2).  The bases are streamed, never listed.
+    A word of at most _RUN digits is folded directly.  A longer one is
+    folded in runs of _RUN digits, and adjacent (N1, P1), (N2, P2) merge as
+    (N1*P2 + N2, P1*P2) whenever both cover the same number of runs, like a
+    binary counter; the large multiplies then pair operands of equal size,
+    which makes the cost O(M(m) log m) instead of O(m^2).  The bases are
+    streamed, never listed.
     """
     pairs = zip(iter_bases(Q, start), digits)
     if len(digits) <= _RUN:
-        num, prod = 0, 1
-        for q, d in pairs:
-            num = num * q + d
-            prod *= q
-        return num, prod
+        return _fold(pairs)
     stack: list[tuple[int, int, int]] = []  # (N, P, runs covered)
     for _ in range(0, len(digits), _RUN):
-        num, prod = 0, 1
-        for q, d in islice(pairs, _RUN):
-            num = num * q + d
-            prod *= q
+        num, prod = _fold(islice(pairs, _RUN))
         runs = 1
         while stack and stack[-1][2] == runs:
             left_num, left_prod, _ = stack.pop()
