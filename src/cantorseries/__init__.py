@@ -1,119 +1,10 @@
 """Exact arithmetic for Cantor series over arbitrary integer base sequences."""
 
-from .foundation import (
-    Constant,
-    DomainError,
-    ListBacked,
-    ParseError,
-    Periodic,
-    PrefixPeriodic,
-    QSequence,
-    Rational,
-    Rule,
-    TailMin,
-    UndecidableError,
-    base_product,
-    bases,
-    format_qseq,
-    iter_bases,
-    parse_qseq,
-    prefix_and_period,
-    q_at,
-    tail_min,
-)
-from .expansion import (
-    DigitWord,
-    Enclosure,
-    ShiftState,
-    digit_stream,
-    enclosure,
-    evaluate_finite,
-    expand,
-    local_value,
-    shift_step,
-    shift_value,
-    validate_digits,
-)
-from .rationality import (
-    BlockDescription,
-    CertificateCheck,
-    RationalityCertificate,
-    block_description,
-    certify_rational,
-    reconstruct,
-    verify_certificate,
-)
-from .structure import (
-    CofiniteExpansion,
-    DualRepresentationReport,
-    FixedPointCandidate,
-    FixedPointReport,
-    RegroupBlock,
-    Regrouping,
-    ShiftConstantReport,
-    cofinite_value,
-    convert_dual,
-    dual_representation,
-    fixed_point_digits,
-    fixed_points,
-    fold_cofinite,
-    regroup,
-    shift_constant_check,
-)
+from .foundation import *
+from .expansion import *
+from .rationality import *
+from .structure import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDescription",
-    "CertificateCheck",
-    "CofiniteExpansion",
-    "Constant",
-    "DigitWord",
-    "DomainError",
-    "DualRepresentationReport",
-    "Enclosure",
-    "FixedPointCandidate",
-    "FixedPointReport",
-    "ListBacked",
-    "ParseError",
-    "Periodic",
-    "PrefixPeriodic",
-    "QSequence",
-    "Rational",
-    "RationalityCertificate",
-    "RegroupBlock",
-    "Regrouping",
-    "Rule",
-    "ShiftConstantReport",
-    "ShiftState",
-    "TailMin",
-    "UndecidableError",
-    "base_product",
-    "bases",
-    "block_description",
-    "certify_rational",
-    "cofinite_value",
-    "convert_dual",
-    "digit_stream",
-    "dual_representation",
-    "enclosure",
-    "evaluate_finite",
-    "expand",
-    "fixed_point_digits",
-    "fixed_points",
-    "fold_cofinite",
-    "format_qseq",
-    "iter_bases",
-    "local_value",
-    "parse_qseq",
-    "prefix_and_period",
-    "q_at",
-    "reconstruct",
-    "regroup",
-    "shift_constant_check",
-    "shift_step",
-    "shift_value",
-    "tail_min",
-    "validate_digits",
-    "verify_certificate",
-]
+__all__ = foundation.__all__ + expansion.__all__ + rationality.__all__ + structure.__all__

@@ -28,7 +28,6 @@ from .expansion import DigitWord, enclosure, evaluate_finite, expand, shift_valu
 from .rationality import (
     BlockDescription,
     RationalityCertificate,
-    block_description,
     certify_rational,
     reconstruct,
     verify_certificate,
@@ -121,16 +120,6 @@ def _value_of(form: str, payload: Any, Q: QSequence) -> Fraction:
     raise AssertionError(form)
 
 
-def _cert_report(x: Fraction, Q: QSequence, cert: RationalityCertificate) -> dict[str, Any]:
-    return {
-        "n": cert.n,
-        "m": cert.m,
-        "sigma": _frac(cert.sigma_value),
-        "block_product": cert.block_product,
-        "witness_ok": bool(verify_certificate(x, Q, cert)),
-    }
-
-
 def _cmd_expand(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     x = _value_of(*parse_number_spec(args.x), Q)
     word, state = expand(x, Q, args.count)
@@ -150,7 +139,14 @@ def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
 
 def _cmd_certify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     x = _value_of(*parse_number_spec(args.x), Q)
-    return _cert_report(x, Q, certify_rational(x, Q)), EXIT_OK
+    cert = certify_rational(x, Q)
+    return {
+        "n": cert.n,
+        "m": cert.m,
+        "sigma": _frac(cert.sigma_value),
+        "block_product": cert.block_product,
+        "witness_ok": bool(verify_certificate(x, Q, cert)),
+    }, EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
@@ -222,8 +218,7 @@ def _cmd_convert(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
 
 
 def _cmd_shift_const(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
-    form, payload = parse_number_spec(args.x)
-    x = payload if form == "block" else _value_of(form, payload, Q)
+    x = _value_of(*parse_number_spec(args.x), Q)
     report = shift_constant_check(x, Q, n0=args.n0, horizon=args.horizon)
     return {
         "holds": report.holds,
@@ -253,6 +248,8 @@ def _cmd_fixed_points(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str,
 
 def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     form, payload = parse_number_spec(args.x)
+    # regroup evaluates a digit word itself, after the breakpoints parse, so a
+    # bad breakpoint list stays a parse error even when the word is invalid
     x = payload if form == "digits" else _value_of(form, payload, Q)
     try:
         bps = tuple(int(tok) for tok in args.breakpoints.split(","))
@@ -270,17 +267,44 @@ def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
     }, EXIT_OK
 
 
+_X = ("--x", dict(required=True, metavar="NUMSPEC"))
+
+# verb: (handler, help line, verb flags in order); every verb also takes --q and --json
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "eval": _cmd_eval,
-    "certify": _cmd_certify,
-    "verify": _cmd_verify,
-    "reconstruct": _cmd_reconstruct,
-    "dual": _cmd_dual,
-    "convert": _cmd_convert,
-    "shift-const": _cmd_shift_const,
-    "fixed-points": _cmd_fixed_points,
-    "regroup": _cmd_regroup,
+    "expand": (
+        _cmd_expand,
+        "digits of x by the shift operator",
+        [_X, ("--count", dict(required=True, type=int, metavar="N"))],
+    ),
+    "eval": (_cmd_eval, "exact value of a number description", [_X]),
+    "certify": (_cmd_certify, "earliest shift-state recurrence of a rational", [_X]),
+    "verify": (
+        _cmd_verify,
+        "re-check a recurrence pair (n, m)",
+        [_X, ("--n", dict(required=True, type=int)), ("--m", dict(required=True, type=int))],
+    ),
+    "reconstruct": (_cmd_reconstruct, "value of a preperiod plus recurring block", [_X]),
+    "dual": (
+        _cmd_dual,
+        "decide the trailing-maximum twin representation",
+        [_X, ("--bound", dict(type=int, default=10000, help="search cap for rule sequences (default 10000)"))],
+    ),
+    "convert": (_cmd_convert, "switch between finite and trailing-maximum forms", [_X]),
+    "shift-const": (
+        _cmd_shift_const,
+        "check digit ratios for shift-value constancy",
+        [_X, ("--n0", dict(type=int, default=0)), ("--horizon", dict(type=int, default=50))],
+    ),
+    "fixed-points": (_cmd_fixed_points, "values fixed by every shift", []),
+    "regroup": (
+        _cmd_regroup,
+        "merge digit blocks between breakpoints",
+        [
+            _X,
+            ("--breakpoints", dict(required=True, metavar="N1,N2,...")),
+            ("--blocks", dict(type=int, help="number of blocks (default: all breakpoints)")),
+        ],
+    ),
 }
 
 
@@ -291,44 +315,10 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="cantorseries", description="Exact Cantor-series arithmetic over arbitrary base sequences.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("expand", parents=[common], help="digits of x by the shift operator")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-    p.add_argument("--count", required=True, type=int, metavar="N")
-
-    p = sub.add_parser("eval", parents=[common], help="exact value of a number description")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-
-    p = sub.add_parser("certify", parents=[common], help="earliest shift-state recurrence of a rational")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-
-    p = sub.add_parser("verify", parents=[common], help="re-check a recurrence pair (n, m)")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="value of a preperiod plus recurring block")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-
-    p = sub.add_parser("dual", parents=[common], help="decide the trailing-maximum twin representation")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-    p.add_argument("--bound", type=int, default=10000, help="search cap for rule sequences (default 10000)")
-
-    p = sub.add_parser("convert", parents=[common], help="switch between finite and trailing-maximum forms")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-
-    p = sub.add_parser("shift-const", parents=[common], help="check digit ratios for shift-value constancy")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=50)
-
-    sub.add_parser("fixed-points", parents=[common], help="values fixed by every shift")
-
-    p = sub.add_parser("regroup", parents=[common], help="merge digit blocks between breakpoints")
-    p.add_argument("--x", required=True, metavar="NUMSPEC")
-    p.add_argument("--breakpoints", required=True, metavar="N1,N2,...")
-    p.add_argument("--blocks", type=int, default=None, help="number of blocks (default: all breakpoints)")
-
+    for verb, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_line)
+        for name, spec in flags:
+            p.add_argument(name, **spec)
     return parser
 
 
@@ -371,7 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         Q = parse_qseq(args.q)
-        report, code = _COMMANDS[args.verb](args, Q)
+        report, code = _COMMANDS[args.verb][0](args, Q)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .foundation import DomainError, QSequence, Rational, _base_product_mod, _check_int, base_product, iter_bases
+from .foundation import DomainError, QSequence, Rational, _base_product_mod, _check_int, _take, iter_bases
+
+__all__ = [
+    "DigitWord", "Enclosure", "ShiftState",
+    "digit_stream", "enclosure", "evaluate_finite", "expand", "local_value", "shift_step", "shift_value",
+    "validate_digits",
+]
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     """
     x = _unit_value(x)
     out = []
-    for d, u in islice(_residues(x, Q), _check_int(count, 1, "digit count")):
+    for d, u in _take(_residues(x, Q), _check_int(count, 1, "digit count")):
         out.append(d)
     return DigitWord(out), ShiftState(count, Fraction(u, x.denominator))
 
@@ -191,11 +197,17 @@ def local_value(word: DigitWord, Q: QSequence) -> Fraction:
     return Fraction(*_positional(word.digits, Q, word.start))
 
 
-def evaluate_finite(word: DigitWord, Q: QSequence) -> Rational:
-    """Exact value of a finite digit word starting at position 1."""
+def _finite_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
+    """(N, P) of a validated word that starts at position 1."""
     if word.start != 1:
         raise DomainError(f"finite evaluation expects a word starting at position 1, got {word.start}")
-    return local_value(word, Q)
+    validate_digits(word, Q)
+    return _positional(word.digits, Q, 1)
+
+
+def evaluate_finite(word: DigitWord, Q: QSequence) -> Rational:
+    """Exact value of a finite digit word starting at position 1."""
+    return Fraction(*_finite_positional(word, Q))
 
 
 def enclosure(word: DigitWord, Q: QSequence) -> Enclosure:
@@ -205,6 +217,5 @@ def enclosure(word: DigitWord, Q: QSequence) -> Enclosure:
     value inside the enclosure; the width is exactly the weight of position
     n, so enclosures shrink by a factor q_{n+1} per extra digit.
     """
-    low = evaluate_finite(word, Q)
-    width = Fraction(1, base_product(Q, 1, len(word)))
-    return Enclosure(low, low + width)
+    num, prod = _finite_positional(word, Q)
+    return Enclosure(Fraction(num, prod), Fraction(num + 1, prod))

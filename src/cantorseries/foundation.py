@@ -14,9 +14,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
+
+__all__ = [
+    "Constant", "DomainError", "ListBacked", "ParseError", "Periodic", "PrefixPeriodic", "QSequence",
+    "Rational", "Rule", "TailMin", "UndecidableError",
+    "base_product", "bases", "format_qseq", "iter_bases", "parse_qseq", "prefix_and_period", "q_at", "tail_min",
+]
 
 Rational = Fraction
 
@@ -133,6 +140,14 @@ def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     return itertools.islice(itertools.cycle(per), (start - len(pre) - 1) % len(per), None)
 
 
+def _take(it: Iterator, count: int) -> Iterator:
+    """The first `count` items of `it`; a count past sys.maxsize cannot be
+    sliced, let alone materialised, so it raises DomainError."""
+    if count > sys.maxsize:
+        raise DomainError(f"count {count} is too large to materialise")
+    return itertools.islice(it, count)
+
+
 def q_at(Q: QSequence, k: int) -> int:
     """Base q_k at 1-based position k."""
     return next(iter_bases(Q, k))
@@ -140,7 +155,7 @@ def q_at(Q: QSequence, k: int) -> int:
 
 def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     """The bases q_start, ..., q_{start+count-1}."""
-    return tuple(itertools.islice(iter_bases(Q, start), _check_int(count, 0, "base count")))
+    return tuple(_take(iter_bases(Q, start), _check_int(count, 0, "base count")))
 
 
 def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int]:
@@ -156,10 +171,10 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, 
         return iter(()), 1, 0
     it = iter_bases(Q, lo)
     if isinstance(Q, Rule):
-        return itertools.islice(it, count), 1, 0
+        return _take(it, count), 1, 0
     head = min(count, max(0, len(Q.prefix) - lo + 1))
     cycles, rest = divmod(count - head, len(Q.period))
-    return itertools.islice(it, head + rest), math.prod(Q.period), cycles
+    return _take(it, head + rest), math.prod(Q.period), cycles
 
 
 def base_product(Q: QSequence, lo: int, hi: int) -> int:

@@ -16,6 +16,11 @@ from fractions import Fraction
 from .foundation import DomainError, QSequence, Rational, _base_product_mod, base_product
 from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
 
+__all__ = [
+    "BlockDescription", "CertificateCheck", "RationalityCertificate",
+    "block_description", "certify_rational", "reconstruct", "verify_certificate",
+]
+
 
 @dataclass(frozen=True)
 class RationalityCertificate:
@@ -107,7 +112,9 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the
     recorded shift value and block product match, and that the reduced
     denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
-    pass: any valid recurrence certifies.
+    pass: any valid recurrence certifies.  A rule-sequence range 1..n or
+    n+1..n+m longer than sys.maxsize cannot be multiplied out and fails
+    the field check (invalid_fields).
 
     No shift steps are walked.  With x = u_0/v and u_k = q_k * u_{k-1} mod v,
     u_n = u_0 * (q1...q_n mod v) mod v and u_{n+m} = u_n * P mod v, so the
@@ -123,9 +130,12 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     except DomainError:
         return CertificateCheck(False, "value_out_of_range", False, False)
     v = x.denominator
-    head = _base_product_mod(Q, 1, n, v)
+    try:
+        head = _base_product_mod(Q, 1, n, v)
+        product = base_product(Q, n + 1, n + m)
+    except DomainError:
+        return CertificateCheck(False, "invalid_fields", False, False)
     u_n = x.numerator * head % v
-    product = base_product(Q, n + 1, n + m)
     gap = (product - 1) % v
     recurrence_ok = u_n * gap % v == 0
     divisibility_ok = head * gap % v == 0

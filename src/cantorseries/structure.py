@@ -38,6 +38,13 @@ from .expansion import (
 )
 from .rationality import BlockDescription, reconstruct
 
+__all__ = [
+    "CofiniteExpansion", "DualRepresentationReport", "FixedPointCandidate", "FixedPointReport", "RegroupBlock",
+    "Regrouping", "ShiftConstantReport",
+    "cofinite_value", "convert_dual", "dual_representation", "fixed_point_digits", "fixed_points",
+    "fold_cofinite", "regroup", "shift_constant_check",
+]
+
 
 @dataclass(frozen=True)
 class CofiniteExpansion:
@@ -285,11 +292,9 @@ def fixed_points(Q: QSequence) -> FixedPointReport:
 
     candidates = []
     for eps in range(q):
-        if view is None:
-            member, failing = True, None
-        else:
+        member, failing = True, None
+        if view is not None:
             pre, per = view
-            member, failing = True, None
             for n, qn in enumerate(pre + per, 1):
                 if eps * (qn - 1) % (q - 1) != 0:
                     member, failing = False, n

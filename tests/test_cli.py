@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import shlex
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorseries.cli import main
+from cantorseries.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -202,3 +209,131 @@ def test_integers_past_the_default_int_to_str_limit(capsys):
     assert code == 0 and err == ""
     assert report["block_product"] == 10 ** report["m"]
     assert f"block_product: {report['block_product']}" in plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--q", "const:10", "--x", "rat:1/3", "--count", "99999999999999999999"),
+        ("verify", "--q", "rule:odd", "--x", "rat:1/3", "--n", "99999999999999999999", "--m", "1"),
+        ("shift-const", "--q", "const:10", "--x", "rat:1/3", "--n0", "99999999999999999999", "--horizon", "1"),
+        ("regroup", "--q", "const:10", "--x", "rat:1/3", "--breakpoints", "99999999999999999999"),
+    ],
+)
+def test_counts_past_sys_maxsize_exit_two(capsys, argv):
+    for mode in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *argv, *mode)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+EXAMPLE_PROMPT = "$ cantorseries "
+
+
+def readme_examples():
+    """(argv, next README line) for each `$ cantorseries ... --json` example."""
+    lines = README.read_text().splitlines()
+    return [
+        (shlex.split(line[len(EXAMPLE_PROMPT) :]), lines[i + 1])
+        for i, line in enumerate(lines)
+        if line.startswith(EXAMPLE_PROMPT) and line.endswith(" --json")
+    ]
+
+
+def test_readme_has_one_json_example_per_verb():
+    assert sorted(argv[0] for argv, _ in readme_examples()) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv,expected", readme_examples(), ids=[argv[0] for argv, _ in readme_examples()])
+def test_readme_examples_print_the_documented_line(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+# --- fuzz of the --q and --x grammars -----------------------------------------------
+# Integers stay small: certify is O(v) in the denominator and fixed-points
+# lists q candidates.  Counts also come past sys.maxsize, where they cannot
+# be materialised.  Left out: a huge verify --m on a list-backed sequence,
+# whose block product q^m is a closed-form power too large for memory.
+
+JUNK = st.sampled_from(
+    ["", "x", ":", "-1", "1/0", "rat:", "rat:1/", "rat:1/0", "digits:,", "digits:a", "block:|", "block:1|",
+     "cofinite:", "prefix:;", "const:", "const:1", "periodic:2,0", "rule:", "rule:even", "--bogus", "\u00e9", "9" * 30]
+)
+HUGE = st.integers(min_value=sys.maxsize + 1, max_value=10**30)
+SMALL = st.integers(min_value=-2, max_value=300)
+DIGITS = st.integers(min_value=0, max_value=12)
+BASES = st.integers(min_value=2, max_value=12)
+
+
+def joined(xs):
+    return ",".join(map(str, xs))
+
+
+def int_lists(entries, min_size, max_size):
+    return st.lists(entries, min_size=min_size, max_size=max_size).map(joined)
+
+
+QSPECS = st.one_of(
+    BASES.map(lambda q: f"const:{q}"),
+    int_lists(BASES, 1, 3).map(lambda qs: f"periodic:{qs}"),
+    st.tuples(int_lists(BASES, 1, 2), int_lists(BASES, 1, 2)).map(lambda pp: f"prefix:{pp[0]};{pp[1]}"),
+    st.just("rule:odd"),
+)
+XSPECS = st.one_of(
+    st.tuples(SMALL, st.integers(min_value=1, max_value=300)).map(lambda nd: f"rat:{nd[0]}/{nd[1]}"),
+    int_lists(DIGITS, 0, 3).map(lambda ds: f"digits:{ds}"),
+    st.tuples(int_lists(DIGITS, 0, 2), int_lists(DIGITS, 1, 2)).map(lambda pb: f"block:{pb[0]}|{pb[1]}"),
+    int_lists(DIGITS, 1, 3).map(lambda hs: f"cofinite:{hs}"),
+)
+COUNT_FLAGS = {
+    "expand": ["--count"],
+    "verify": ["--n", "--m"],
+    "dual": ["--bound"],
+    "shift-const": ["--n0", "--horizon"],
+    "regroup": ["--blocks"],
+}
+
+
+def rarely(draw):
+    # a middle value: hypothesis draws the ends of a range more often
+    return draw(st.integers(min_value=0, max_value=9)) == 5
+
+
+def token(draw, valid):
+    """A grammar token, or one time in ten a junk token."""
+    return draw(JUNK) if rarely(draw) else str(draw(valid))
+
+
+@st.composite
+def cli_argv(draw):
+    verb = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus"]))
+    q = token(draw, QSPECS)
+    argv = [verb, "--q", q]
+    if verb != "fixed-points":
+        argv += ["--x", token(draw, XSPECS)]
+    for flag in COUNT_FLAGS.get(verb, []):
+        if not rarely(draw):
+            argv += [flag, token(draw, st.one_of(SMALL, HUGE if flag != "--m" or q == "rule:odd" else SMALL))]
+    if verb == "regroup":
+        increasing = st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4, unique=True)
+        any_order = int_lists(st.one_of(SMALL, HUGE), 1, 4)
+        argv += ["--breakpoints", token(draw, st.one_of(increasing.map(sorted).map(joined), any_order))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if rarely(draw):
+        argv.append(draw(JUNK))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_grammar_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 3):
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue().count("\n") == 1

@@ -182,3 +182,9 @@ def test_values_must_be_int_or_fraction(x):
 def test_counts_and_positions_must_be_integers(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_digit_counts_too_large_to_materialise_are_domain_errors():
+    with pytest.raises(DomainError, match="too large"):
+        expand(Fraction(1, 3), Constant(10), 10**20)
+    assert shift_value(Fraction(1, 3), Constant(10), 10**20) == Fraction(1, 3)  # closed form

@@ -165,3 +165,16 @@ def test_tail_min_rejects_negative_start():
 def test_rational_values_reduce_on_construction():
     assert Fraction(10, 20) == Fraction(1, 2)
     assert Fraction(10, 20).denominator == 2
+
+
+@pytest.mark.parametrize("Q", [Constant(10), Periodic((2, 3)), PrefixPeriodic((5,), (2, 3)), Rule("odd")])
+def test_counts_too_large_to_materialise_are_domain_errors(Q):
+    # Past sys.maxsize a count cannot be sliced; it must not leak ValueError.
+    with pytest.raises(DomainError, match="too large"):
+        bases(Q, 10**20)
+
+
+def test_rule_products_too_long_to_take_are_domain_errors():
+    with pytest.raises(DomainError, match="too large"):
+        base_product(Rule("odd"), 1, 10**20)
+    assert base_product(Constant(10), 10**20, 10**20 + 1) == 100  # closed form, nothing taken

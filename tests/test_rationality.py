@@ -5,6 +5,7 @@ import pytest
 
 from cantorseries import (
     BlockDescription,
+    CertificateCheck,
     Constant,
     DigitWord,
     DomainError,
@@ -190,3 +191,14 @@ def test_tails_equal_argument_checks():
         shift_value(Fraction(1, 2), P23, -1)
     gapless = RationalityCertificate(0, 0, Fraction(1, 2), 1)
     assert verify_certificate(Fraction(1, 2), P23, gapless).reason == "invalid_fields"
+
+
+@pytest.mark.parametrize("n,m", [(10**20, 1), (0, 10**20)])
+def test_verify_rejects_rule_ranges_too_long_to_take_without_raising(n, m):
+    cert = RationalityCertificate(n, m, Fraction(1, 3), 5)
+    assert verify_certificate(Fraction(1, 3), ODD, cert) == CertificateCheck(False, "invalid_fields", False, False)
+
+
+def test_verify_far_certificate_on_list_backed_sequence_still_checks():
+    cert = RationalityCertificate(10**20, 1, Fraction(1, 3), 10)
+    assert verify_certificate(Fraction(1, 3), D10, cert).ok

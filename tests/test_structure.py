@@ -384,3 +384,12 @@ def test_fixed_points_undecidable_only_with_undeclared_rules():
     # every catalog rule present today decides; exercise the q >= 2 guard path
     report = fixed_points(ODD)
     assert report.q >= 2
+
+
+def test_windows_and_breakpoints_too_large_to_materialise_are_domain_errors():
+    with pytest.raises(DomainError, match="too large"):
+        shift_constant_check(Fraction(1, 3), D10, 10**20, 1)
+    with pytest.raises(DomainError, match="too large"):
+        shift_constant_check(Fraction(1, 3), ODD, 1, 10**20)
+    with pytest.raises(DomainError, match="too large"):
+        regroup(Fraction(1, 3), D10, (10**20,))
