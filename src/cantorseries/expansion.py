@@ -14,10 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from .foundation import DomainError, QSequence, Rational, _base_product_mod, _check_int, _take, iter_bases
+from .foundation import (
+    DomainError,
+    QSequence,
+    Rational,
+    _RUN,
+    _base_product_mod,
+    _check_int,
+    _merge_runs,
+    _take,
+    iter_bases,
+)
 
 __all__ = [
     "DigitWord", "Enclosure", "ShiftState",
@@ -75,17 +85,13 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
     return x
 
 
-def _residues(x: Fraction, Q: QSequence) -> Iterator[tuple[int, int]]:
-    """Endless digits and states (e_k, u_k) of reduced x = u_0/v, where
-    e_k, u_k = divmod(q_k * u_{k-1}, v): the shift operator on integers,
-    since sigma^k(x) = u_k/v.  Only the current state is held."""
-    u, v = x.numerator, x.denominator
-    for q in iter_bases(Q):
+def _residues(u: int, v: int, bases: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Digits and states (e_k, u_k) of reduced u/v under the given bases:
+    e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on integers,
+    as sigma^k(u/v) = u_k/v.  Only the current state is held."""
+    for q in bases:
         d, u = divmod(q * u, v)
         yield d, u
-
-
-_RUN = 64  # digits folded one multiply at a time before runs are merged
 
 
 def _fold(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -102,29 +108,14 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    A word of at most _RUN digits is folded directly.  A longer one is
-    folded in runs of _RUN digits, and adjacent (N1, P1), (N2, P2) merge as
-    (N1*P2 + N2, P1*P2) whenever both cover the same number of runs, like a
-    binary counter; the large multiplies then pair operands of equal size,
-    which makes the cost O(M(m) log m) instead of O(m^2).  The bases are
+    A word of at most _RUN digits is folded directly; a longer one in runs
+    of _RUN that _merge_runs combines, O(M(m) log m).  The bases are
     streamed, never listed.
     """
     pairs = zip(iter_bases(Q, start), digits)
     if len(digits) <= _RUN:
         return _fold(pairs)
-    stack: list[tuple[int, int, int]] = []  # (N, P, runs covered)
-    for _ in range(0, len(digits), _RUN):
-        num, prod = _fold(islice(pairs, _RUN))
-        runs = 1
-        while stack and stack[-1][2] == runs:
-            left_num, left_prod, _ = stack.pop()
-            num, prod, runs = left_num * prod + num, left_prod * prod, 2 * runs
-        stack.append((num, prod, runs))
-    num, prod, _ = stack.pop()
-    while stack:
-        left_num, left_prod, _ = stack.pop()
-        num, prod = left_num * prod + num, left_prod * prod
-    return num, prod
+    return _merge_runs(_fold(islice(pairs, _RUN)) for _ in range(0, len(digits), _RUN))
 
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
@@ -153,15 +144,31 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  On a reduced x = u/v the
-    shift values are u_n/v with u_n = q_n * u_{n-1} mod v, so the loop runs
-    on integers; each step is the incremental form of the partial-sum
-    identity quoted in the module docstring.
+    shift values are u_k/v.  While v is wider than the product P of the
+    next _RUN bases, one step N, u_{k+r} = divmod(u_k * P, v) crosses them
+    all (the partial-sum identity above, applied to sigma^k(x)), and their
+    digits are peeled off N from the right: m/_RUN divisions of v-sized
+    integers for m digits instead of m.  From the first run as wide as v
+    on, or from the start for v of at most _RUN bits, it steps one base at
+    a time, which is then cheaper than peeling.
     """
     x = _unit_value(x)
-    out = []
-    for d, u in _take(_residues(x, Q), _check_int(count, 1, "digit count")):
+    u, v = x.numerator, x.denominator
+    qs = _take(iter_bases(Q), _check_int(count, 1, "digit count"))
+    out: list[int] = []
+    while v.bit_length() > _RUN and (run := list(islice(qs, _RUN))):
+        if len(run) * max(run).bit_length() >= v.bit_length():
+            qs = chain(run, qs)
+            break
+        num, u = divmod(u * math.prod(run), v)
+        peeled = []
+        for q in reversed(run):
+            num, d = divmod(num, q)
+            peeled.append(d)
+        out += reversed(peeled)
+    for d, u in _residues(u, v, qs):
         out.append(d)
-    return DigitWord(out), ShiftState(count, Fraction(u, x.denominator))
+    return DigitWord(out), ShiftState(count, Fraction(u, v))
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
@@ -183,7 +190,7 @@ def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftSt
     any point trivial.
     """
     x = _unit_value(x)
-    for k, (d, u) in enumerate(_residues(x, Q), 1):
+    for k, (d, u) in enumerate(_residues(x.numerator, x.denominator, iter_bases(Q)), 1):
         yield d, ShiftState(k, Fraction(u, x.denominator))
 
 

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Constant", "DomainError", "ListBacked", "ParseError", "Periodic", "PrefixPeriodic", "QSequence",
@@ -140,12 +140,42 @@ def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     return itertools.islice(itertools.cycle(per), (start - len(pre) - 1) % len(per), None)
 
 
-def _take(it: Iterator, count: int) -> Iterator:
-    """The first `count` items of `it`; a count past sys.maxsize cannot be
-    sliced, let alone materialised, so it raises DomainError."""
+def _check_count(count: int) -> int:
+    """count, or DomainError past sys.maxsize: no such count can be sliced."""
     if count > sys.maxsize:
         raise DomainError(f"count {count} is too large to materialise")
-    return itertools.islice(it, count)
+    return count
+
+
+def _take(it: Iterator, count: int) -> Iterator:
+    """The first `count` items of `it`, under the _check_count guard."""
+    return itertools.islice(it, _check_count(count))
+
+
+_RUN = 64  # bases handled one at a time within a run; whole runs are merged or stepped
+
+
+def _merge_runs(runs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(N, P) of consecutive runs (N_i, P_i), adjacent ones combining as
+    (N1*P2 + N2, P1*P2): a positional numerator and its base product, or a
+    plain product when every N is 0.  No runs give (0, 1).
+
+    The top two merge whenever they cover equally many runs, like a binary
+    counter, so large multiplies pair equal sizes: O(M(m) log m), not
+    O(m^2).  The rest of the stack folds right to left.
+    """
+    stack: list[tuple[int, int, int]] = []  # (N, P, runs covered)
+    for num, prod in runs:
+        size = 1
+        while stack and stack[-1][2] == size:
+            left_num, left_prod, _ = stack.pop()
+            num, prod, size = left_num * prod + num, left_prod * prod, 2 * size
+        stack.append((num, prod, size))
+    num, prod = 0, 1
+    while stack:
+        left_num, left_prod, _ = stack.pop()
+        num, prod = left_num * prod + num, left_prod * prod
+    return num, prod
 
 
 def q_at(Q: QSequence, k: int) -> int:
@@ -158,9 +188,9 @@ def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     return tuple(_take(iter_bases(Q, start), _check_int(count, 0, "base count")))
 
 
-def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int]:
-    """q_lo * ... * q_hi as (factors, whole, cycles): the product of the finite
-    iterator `factors` times whole ** cycles.
+def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int, int]:
+    """q_lo * ... * q_hi as (factors, size, whole, cycles): the product of
+    the finite iterator `factors`, of `size` items, times whole ** cycles.
 
     For list-backed sequences `factors` holds only the prefix part and one
     partial period, and whole is the product of a full period; rule
@@ -168,30 +198,36 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, 
     """
     count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
     if count <= 0:
-        return iter(()), 1, 0
+        return iter(()), 0, 1, 0
     it = iter_bases(Q, lo)
     if isinstance(Q, Rule):
-        return _take(it, count), 1, 0
+        return _take(it, count), count, 1, 0
     head = min(count, max(0, len(Q.prefix) - lo + 1))
     cycles, rest = divmod(count - head, len(Q.period))
-    return _take(it, head + rest), math.prod(Q.period), cycles
+    return _take(it, head + rest), head + rest, math.prod(Q.period), cycles
 
 
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
     """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
 
     For list-backed sequences only the prefix part and one partial period
-    are multiplied out; the whole periods in between are one power.
+    are multiplied out; the whole periods in between are one power.  More
+    than _RUN other factors go in runs merged by _merge_runs, so m rule
+    bases cost O(M(m) log m).  A range past sys.maxsize raises DomainError.
     """
-    factors, whole, cycles = _product_split(Q, lo, hi)
-    return math.prod(factors) * whole**cycles
+    factors, size, whole, cycles = _product_split(Q, lo, hi)
+    _check_count(hi - lo + 1)
+    if size <= _RUN:
+        return math.prod(factors) * whole**cycles
+    runs = ((0, math.prod(itertools.islice(factors, _RUN))) for _ in range(0, size, _RUN))
+    return _merge_runs(runs)[1] * whole**cycles
 
 
 def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
     """base_product(Q, lo, hi) % modulus without the big product: one modular
     power for the whole periods and one small multiply per other factor,
     which for rule sequences is hi - lo + 1 steps."""
-    factors, whole, cycles = _product_split(Q, lo, hi)
+    factors, _, whole, cycles = _product_split(Q, lo, hi)
     out = pow(whole, cycles, modulus)
     for q in factors:
         out = out * q % modulus

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .foundation import DomainError, QSequence, Rational, _base_product_mod, base_product
+from .foundation import DomainError, QSequence, Rational, _base_product_mod, base_product, iter_bases
 from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
 
 __all__ = [
@@ -84,7 +84,7 @@ def _recurrence(x: Rational | int, Q: QSequence) -> tuple[Fraction, int, int, in
     x = _unit_value(x)
     first_seen = {x.numerator: 0}
     digits = []
-    for d, u in _residues(x, Q):
+    for d, u in _residues(x.numerator, x.denominator, iter_bases(Q)):
         digits.append(d)
         n = first_seen.setdefault(u, len(digits))
         if n < len(digits):

@@ -20,7 +20,9 @@ from .foundation import (
     RULE_CATALOG,
     Rational,
     UndecidableError,
+    _check_count,
     _check_int,
+    base_product,
     bases,
     iter_bases,
     prefix_and_period,
@@ -106,8 +108,9 @@ class DualRepresentationReport:
     """Whether p/r also has a trailing-maximum representation.
 
     decision "yes" carries the minimal n0 with r | q1...q_{n0} and both
-    materialised forms; "no" is proved (an unproductive full period, or a
-    declared rule fact); "undecided" reports the exhausted search bound.
+    materialised forms; "no" is proved (r does not divide the product at
+    the depth that would suffice, or a declared rule fact); "undecided"
+    reports the exhausted search bound.
     """
 
     decision: str
@@ -147,41 +150,53 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
 def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRepresentationReport:
     """Decide whether reduced p/r in (0, 1) has two representations.
 
-    Runs the residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k), which strips
-    from r exactly the prime multiplicity the product q1...q_k supplies, so
-    r_k = 1 iff r divides q1...q_k and the first such k is the minimal n0.
-    For list-backed sequences a full period with no reduction proves "no".
-    For rule sequences the catalog's declared facts apply (all-odd entries
-    kill any even residual immediately); otherwise the search stops at
-    `bound` and reports undecided.
+    It does exactly when r divides some q1...q_k, the least such k being
+    n0; divisibility is monotone in k.  For list-backed sequences k = top =
+    len(prefix) + len(period) * bits(r) settles it: a prime of r that
+    divides the period product needs at most bits(r) periods after the
+    prefix.  Closed-form products at k = 1, 2, 4, ... (capped at top), then
+    a bisection of the last doubling, find n0 from O(log n0) products of at
+    most 2 * n0 bases.  For rule sequences the catalog's declared facts
+    apply (all-odd entries kill any even denominator); otherwise the
+    residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k) runs until r_k = 1 or
+    `bound` positions, and reports undecided past it.
     """
     x = _unit_value(x)
     if x == 0:
         raise DomainError("dual representation is defined on (0, 1), got 0")
     _check_int(bound, 1, "search bound")
-    residual = x.denominator
+    r = x.denominator
 
     view = prefix_and_period(Q)
-    if view is None and RULE_CATALOG[Q.rule_id].odd_entries and residual % 2 == 0:
+    if view is not None:
+        pre, per = view
+        top = len(pre) + len(per) * r.bit_length()
+        lo, hi = 0, 1  # r >= 2 does not divide the empty product
+        while base_product(Q, 1, hi) % r:
+            if hi >= top:
+                return DualRepresentationReport("no")
+            lo, hi = hi, min(2 * hi, top)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if base_product(Q, 1, mid) % r:
+                lo = mid
+            else:
+                hi = mid
+        n0 = hi
+    elif RULE_CATALOG[Q.rule_id].odd_entries and r % 2 == 0:
         return DualRepresentationReport("no")
-    last_drop = 0
-    for n0, q in enumerate(iter_bases(Q), 1):
-        g = math.gcd(residual, q)
-        if g > 1:
-            residual //= g
-            last_drop = n0
+    else:
+        residual = r
+        for n0, q in enumerate(iter_bases(Q), 1):
+            residual //= math.gcd(residual, q)
             if residual == 1:
                 break
-        elif view is not None and n0 - max(last_drop, len(view[0])) >= len(view[1]):
-            # One unproductive full period inside the cycle: the same
-            # residual meets the same bases forever.
-            return DualRepresentationReport("no")
-        if view is None and n0 >= bound:
-            return DualRepresentationReport("undecided", bound=bound)
+            if n0 >= bound:
+                return DualRepresentationReport("undecided", bound=bound)
 
     word, state = expand(x, Q, n0)
     if state.value != 0:
-        raise AssertionError("residual chain and greedy expansion disagree on termination")
+        raise AssertionError("divisibility test and greedy expansion disagree on termination")
     cof = convert_dual(word, Q)
     if evaluate_finite(word, Q) != x or cofinite_value(cof, Q) != x:
         raise AssertionError("materialised dual forms do not evaluate back to the input")
@@ -369,6 +384,11 @@ def regroup(
     numerators of the old blocks, so the regrouped prefix plus the carried
     shift state reproduce x exactly.  Returns the explicit list of new
     bases, the new digit word, and the block report.
+
+    Each block is one shift step in the regrouped base: from the state
+    sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v).  The
+    cost is the block products plus one division per block; a last
+    breakpoint past sys.maxsize raises DomainError before any product.
     """
     if callable(breakpoints):
         if count is None:
@@ -392,11 +412,13 @@ def regroup(
         x = evaluate_finite(x, Q)
     x = _unit_value(x)
 
-    word, _ = expand(x, Q, bps[-1])
+    _check_count(bps[-1])
+    u, v = x.numerator, x.denominator
     blocks = []
     lo = 0
     for nk in bps:
-        lam, prod = _positional(word.digits[lo:nk], Q, lo + 1)
+        prod = base_product(Q, lo + 1, nk)
+        lam, u = divmod(u * prod, v)
         blocks.append(RegroupBlock(lam, prod - 1))
         lo = nk
 

@@ -7,6 +7,7 @@ the tests never trust the code path they are checking.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -79,6 +80,47 @@ def oracle_certificate_check(x: Fraction, Q: QSequence, cert) -> CertificateChec
     return CertificateCheck(reason is None, reason, recurrence, divisible)
 
 
+def oracle_dual_chain(x: Fraction, Q: QSequence, bound: int) -> tuple[str, int | None]:
+    """(decision, n0) of the dual-representation question by the per-position
+    residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k): "yes" at the first k
+    with r_k = 1.  A list-backed Q answers "no" once a full period past the
+    prefix and the last reduction leaves r unchanged; rule:odd answers "no"
+    for an even r and "undecided" at `bound`."""
+    residual = x.denominator
+    if isinstance(Q, Rule) and residual % 2 == 0:
+        return "no", None
+    last_drop = 0
+    for k in itertools.count(1):
+        g = math.gcd(residual, q_at(Q, k))
+        if g > 1:
+            residual //= g
+            last_drop = k
+            if residual == 1:
+                return "yes", k
+        elif not isinstance(Q, Rule) and k - max(last_drop, len(Q.prefix)) >= len(Q.period):
+            return "no", None
+        if isinstance(Q, Rule) and k >= bound:
+            return "undecided", None
+
+
+def oracle_regroup(x: Fraction, Q: QSequence, breakpoints) -> tuple[list[int], list[int]]:
+    """(new bases, new digits) of x regrouped at the breakpoints, from partial
+    sums: block k has base B_k = q_{n_{k-1}+1} * ... * q_{n_k}, multiplied
+    out one base at a time, and digit lam_k = floor((x - S_{k-1}) * B_1...B_k),
+    where S_{k-1} is the sum of the earlier lam_j / (B_1...B_j)."""
+    new_bases, digits = [], []
+    partial, weight, lo = Fraction(0), 1, 0
+    for nk in breakpoints:
+        base = math.prod(q_at(Q, k) for k in range(lo + 1, nk + 1))
+        weight *= base
+        lam = math.floor((x - partial) * weight)
+        partial += Fraction(lam, weight)
+        new_bases.append(base)
+        digits.append(lam)
+        lo = nk
+    return new_bases, digits
+
+
 def base_entries():
     return st.integers(min_value=2, max_value=12)
 
@@ -100,6 +142,49 @@ def proper_fractions(max_denominator: int = 60):
     return st.integers(min_value=2, max_value=max_denominator).flatmap(
         lambda v: st.integers(min_value=0, max_value=v - 1).map(lambda u: Fraction(u, v))
     )
+
+
+def wide_fractions():
+    """Fractions in [0, 1) over denominators of 600 to 1000 bits: wider than
+    the product of 64 bases below 512, and far wider than a few hundred
+    digits need.  The numerator is uniform in [0, v), from a seeded
+    random.Random: hypothesis's own draws favour small numerators, which
+    leave the first hundreds of digits all 0."""
+    return st.builds(
+        lambda v, rng: Fraction(rng.randrange(v), v),
+        st.integers(min_value=2**600, max_value=2**1000),
+        st.randoms(use_true_random=True),
+    )
+
+
+# Primes of no base in qseqs() (entries 2..12), though rule:odd reaches each;
+# for rule:odd, 2 is the foreign prime.
+FOREIGN_PRIMES = (2, 13, 17, 19, 23)
+
+
+@st.composite
+def dual_cases(draw):
+    """(x, Q, bound) for the dual-representation question: a denominator
+    built from primes of Q's early bases, each to a power up to 1, 3 or 30,
+    sometimes times a foreign prime, so that "yes" comes with n0 in the tens
+    or hundreds and "no" (and, for rule:odd, "undecided") comes up too.
+    Some prefixes are long over a period of powers of 2, so that an odd
+    prime may first appear deep in the prefix and nowhere after it."""
+    long_prefix = st.builds(
+        PrefixPeriodic,
+        st.lists(base_entries(), min_size=5, max_size=24).map(tuple),
+        st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=2).map(tuple),
+    )
+    Q = draw(st.one_of(qseqs(), long_prefix))
+    early = Q.prefix + Q.period if not isinstance(Q, Rule) else tuple(q_at(Q, k) for k in range(1, 13))
+    primes = sorted({p for q in early for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) if q % p == 0})
+    chosen = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True))
+    top = draw(st.sampled_from([1, 3, 30]))
+    r = math.prod(p ** draw(st.integers(min_value=1, max_value=top)) for p in chosen)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        r *= draw(st.sampled_from(FOREIGN_PRIMES))
+    u = draw(st.integers(min_value=1, max_value=r - 1).filter(lambda u: math.gcd(u, r) == 1))
+    return Fraction(u, r), Q, draw(st.sampled_from([5, 60, 10000]))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,18 @@ def test_rule_products_too_long_to_take_are_domain_errors():
     with pytest.raises(DomainError, match="too large"):
         base_product(Rule("odd"), 1, 10**20)
     assert base_product(Constant(10), 10**20, 10**20 + 1) == 100  # closed form, nothing taken
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 1000, 1031])
+def test_rule_products_match_one_multiply_per_base(count):
+    # both sides of every run and merge boundary of the balanced product
+    for start in (1, 7):
+        want = math.prod(2 * k + 1 for k in range(start, start + count))
+        assert base_product(Rule("odd"), start, start + count - 1) == want
+
+
+@pytest.mark.parametrize("Q", [Constant(10), Periodic((2, 3)), PrefixPeriodic((5,), (2, 3))])
+def test_list_backed_products_too_long_to_build_are_domain_errors(Q):
+    # whole ** cycles over 10**20 bases would exhaust memory, not fail fast
+    with pytest.raises(DomainError, match="too large"):
+        base_product(Q, 1, 10**20)

@@ -1,5 +1,6 @@
 """Invariant checks driven by hypothesis over random values and sequences."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from cantorseries import (
     certify_rational,
     cofinite_value,
     convert_dual,
+    dual_representation,
     enclosure,
     evaluate_finite,
     expand,
@@ -30,12 +32,17 @@ from cantorseries import (
 )
 from cantorseries.expansion import _positional
 from helpers import (
+    dual_cases,
     oracle_certificate_check,
+    oracle_digits,
+    oracle_dual_chain,
+    oracle_regroup,
     oracle_positional,
     oracle_shift_states,
     proper_fractions,
     qseqs,
     sequences_with_literal_bases,
+    wide_fractions,
 )
 
 
@@ -78,7 +85,15 @@ def test_every_base_at_least_two(Q, k):
     assert q_at(Q, k) >= 2
 
 
-@given(proper_fractions(), qseqs(), st.integers(min_value=1, max_value=30))
+# Counts on both sides of expand's runs of 64 bases.
+RUN_COUNTS = st.sampled_from([1, 63, 64, 65, 128, 129])
+
+
+@given(
+    st.one_of(proper_fractions(), wide_fractions()),
+    qseqs(),
+    st.one_of(st.integers(min_value=1, max_value=30), RUN_COUNTS),
+)
 def test_expand_agrees_with_repeated_shift_step(x, Q, count):
     word, final = expand(x, Q, count)
     state = ShiftState(0, x)
@@ -211,3 +226,31 @@ def test_regroup_preserves_value(x, Q, gaps):
         partial += Fraction(lam, prod)
     assert x == partial + shift_value(x, Q, bps[-1]) / prod
     assert report.mu == min(b.mu for b in report.blocks)
+
+
+@settings(max_examples=150)
+@given(dual_cases())
+def test_dual_representation_matches_the_residual_chain(case):
+    x, Q, bound = case
+    decision, n0 = oracle_dual_chain(x, Q, bound)
+    report = dual_representation(x, Q, bound)
+    assert (report.decision, report.n0) == (decision, n0)
+    if decision == "yes":
+        digits, tail = oracle_digits(x, Q, n0)
+        assert tail == 0
+        assert report.finite_form.digits == tuple(digits)
+        assert report.cofinite_form.head.digits == tuple(digits[:-1]) + (digits[-1] - 1,)
+
+
+@settings(max_examples=75)
+@given(
+    st.one_of(proper_fractions(), wide_fractions()),
+    qseqs(),
+    st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
+)
+def test_regroup_matches_partial_sums(x, Q, gaps):
+    bps = tuple(itertools.accumulate(gaps))
+    new_bases, word, report = regroup(x, Q, bps)
+    want_bases, want_digits = oracle_regroup(x, Q, bps)
+    assert list(new_bases) == want_bases and list(word.digits) == want_digits
+    assert [(b.lam, b.mu + 1) for b in report.blocks] == list(zip(want_digits, want_bases))

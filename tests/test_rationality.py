@@ -199,6 +199,11 @@ def test_verify_rejects_rule_ranges_too_long_to_take_without_raising(n, m):
     assert verify_certificate(Fraction(1, 3), ODD, cert) == CertificateCheck(False, "invalid_fields", False, False)
 
 
+def test_verify_rejects_list_backed_blocks_too_long_to_build_without_raising():
+    cert = RationalityCertificate(0, 10**20, Fraction(1, 3), 10)
+    assert verify_certificate(Fraction(1, 3), D10, cert) == CertificateCheck(False, "invalid_fields", False, False)
+
+
 def test_verify_far_certificate_on_list_backed_sequence_still_checks():
     cert = RationalityCertificate(10**20, 1, Fraction(1, 3), 10)
     assert verify_certificate(Fraction(1, 3), D10, cert).ok

@@ -68,6 +68,12 @@ def test_dual_gradual_reduction_across_periods():
     assert (report.decision, report.n0) == ("yes", 3)
 
 
+def test_dual_prime_met_only_deep_in_the_prefix():
+    # 3 divides only q_10, past len(period) * bits(3) = 2 positions of period
+    report = dual_representation(Fraction(1, 3), PrefixPeriodic((2,) * 9 + (3,), (2,)))
+    assert (report.decision, report.n0) == ("yes", 10)
+
+
 def test_dual_rule_odd_decides_odd_denominators():
     report = dual_representation(Fraction(1, 9), ODD)
     assert (report.decision, report.n0) == ("yes", 4)  # 3*5*7*9 = 945 = 9 * 105
