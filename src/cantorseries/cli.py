@@ -12,7 +12,10 @@ number is needed, --x in one of the forms
 Output goes to stdout, plain lines by default or one JSON object with
 --json; both modes carry the same numeric content and are byte-stable for
 identical inputs.  Exit codes: 0 success, 1 usage or parse error, 2 domain
-error, 3 undecided outcome.
+error (also when memory runs out), 3 undecided outcome.
+
+`Any` in annotations is typing.Any.  Annotations stay unevaluated strings,
+so typing is not imported: a cold call does not pay for it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .foundation import DomainError, ParseError, QSequence, base_product, parse_qseq
 from .expansion import DigitWord, enclosure, evaluate_finite, expand, shift_value
@@ -362,13 +365,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         Q = parse_qseq(args.q)
         report, code = _COMMANDS[args.verb][0](args, Q)
+        print(json.dumps(report) if args.json else _render_plain(report))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(json.dumps(report) if args.json else _render_plain(report))
+    except MemoryError:
+        print("domain error: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
     return code
 
 

@@ -12,10 +12,9 @@ holds, which is what makes every operation here loss-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
 
 from .foundation import (
     DomainError,
@@ -25,7 +24,9 @@ from .foundation import (
     _base_product_mod,
     _check_int,
     _merge_runs,
+    _record,
     _take,
+    _unchecked,
     iter_bases,
 )
 
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class DigitWord:
     """A finite run of digits occupying positions start, start+1, ..."""
 
@@ -59,7 +60,7 @@ class DigitWord:
         return self.start + len(self.digits) - 1
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftState:
     """Exact value sigma^step(x) of the shifted tail."""
 
@@ -67,7 +68,7 @@ class ShiftState:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class Enclosure:
     """Closed interval containing every completion of a digit prefix."""
 
@@ -168,7 +169,7 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
         out += reversed(peeled)
     for d, u in _residues(u, v, qs):
         out.append(d)
-    return DigitWord(out), ShiftState(count, Fraction(u, v))
+    return _unchecked(DigitWord, tuple(out), 1), ShiftState(count, Fraction(u, v))
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:

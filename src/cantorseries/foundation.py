@@ -8,6 +8,11 @@ over a fixed sequence Q = (q_k) of integer bases q_k >= 2, with digits
 e_k in {0, ..., q_k - 1}.  This module provides the base-sequence kinds,
 their text grammar, and tail-minimum queries; rationals are plain
 `fractions.Fraction` values, which are always stored reduced.
+
+Every value and report type of the package is a frozen record made by
+`_record`: the part of `dataclass(frozen=True)` the package uses, without
+the dataclass module, whose import of `inspect`, `ast` and `dis` a cold CLI
+call would pay for each time.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Constant", "DomainError", "ListBacked", "ParseError", "Periodic", "PrefixPeriodic", "QSequence",
@@ -47,7 +51,66 @@ def _check_int(value: object, lowest: int, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+def _record(cls: type) -> type:
+    """Make cls a frozen record, as dataclass(frozen=True) would.
+
+    The fields are cls's annotations, in order; trailing ones may have
+    class-level defaults.  The generated __init__ stores them and then
+    calls __post_init__ if cls has one.  A record's __dict__ holds exactly
+    its fields, in that order, and equality (within one class only),
+    hashing and repr read it there, as the dataclass methods read the
+    fields.  Assigning or deleting an attribute raises AttributeError.
+    """
+    fields = tuple(cls.__annotations__)
+    defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
+    lines = [f"def __init__(self, {', '.join(f'{f}=_defaults[{f!r}]' if f in defaults else f for f in fields)}):"]
+    lines.append("    _stored = self.__dict__")  # item stores: twice as fast as object.__setattr__
+    lines += [f"    _stored[{f!r}] = {f}" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_defaults": defaults}
+    exec("\n".join(lines), namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}  # the dataclass signature
+    cls.__match_args__ = fields
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    return cls
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self.__dict__ == other.__dict__
+
+
+def _record_hash(self):
+    return hash(tuple(self.__dict__.values()))
+
+
+def _record_repr(self):
+    return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unchecked(cls: type, *values: object) -> object:
+    """A record of cls holding `values`, one per field, without running
+    __post_init__: for values the package computed itself, which those
+    checks would only repeat."""
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__match_args__, values))
+    return record
+
+
+@_record
 class ListBacked:
     """A finite, possibly empty prefix of bases followed by a cycling period.
 
@@ -84,7 +147,7 @@ def PrefixPeriodic(prefix: Sequence[int], period: Sequence[int]) -> ListBacked:
     return ListBacked(prefix, period)
 
 
-@dataclass(frozen=True)
+@_record
 class Rule:
     """Bases given by a closed-form rule from the fixed catalog."""
 
@@ -95,10 +158,10 @@ class Rule:
             raise DomainError(f"unknown rule {self.rule_id!r}; known rules: {sorted(RULE_CATALOG)}")
 
 
-QSequence = Union[ListBacked, Rule]
+QSequence = ListBacked | Rule
 
 
-@dataclass(frozen=True)
+@_record
 class _RuleInfo:
     """Declared, proof-backed facts about a catalog rule.
 
@@ -298,7 +361,7 @@ def format_qseq(Q: QSequence) -> str:
     return ("const:" if len(Q.period) == 1 else "periodic:") + period
 
 
-@dataclass(frozen=True)
+@_record
 class TailMin:
     """Minimum base strictly beyond a position.
 

@@ -10,10 +10,18 @@ certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .foundation import DomainError, QSequence, Rational, _base_product_mod, base_product, iter_bases
+from .foundation import (
+    DomainError,
+    QSequence,
+    Rational,
+    _base_product_mod,
+    _record,
+    _unchecked,
+    base_product,
+    iter_bases,
+)
 from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
 
 __all__ = [
@@ -22,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class RationalityCertificate:
     """A recurrence sigma^n(x) = sigma^{n+m}(x) with its block product.
 
@@ -38,7 +46,7 @@ class RationalityCertificate:
     block_product: int
 
 
-@dataclass(frozen=True)
+@_record
 class CertificateCheck:
     """Outcome of re-deriving a certificate from scratch."""
 
@@ -51,7 +59,7 @@ class CertificateCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
+@_record
 class BlockDescription:
     """Digits 1..n (preperiod) plus a recurring block at positions n+1..n+m.
 
@@ -158,7 +166,8 @@ def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
     equal certify-then-expand split at n.
     """
     _, n, _, _, digits = _recurrence(x, Q)
-    return BlockDescription(DigitWord(digits[:n]), DigitWord(digits[n:], start=n + 1))
+    digits = tuple(digits)
+    return BlockDescription(_unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
 
 
 def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:

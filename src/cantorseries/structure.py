@@ -10,9 +10,8 @@ chosen breakpoints regroup into a coarser Cantor series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
 
 from .foundation import (
     DomainError,
@@ -22,6 +21,8 @@ from .foundation import (
     UndecidableError,
     _check_count,
     _check_int,
+    _record,
+    _unchecked,
     base_product,
     bases,
     iter_bases,
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class CofiniteExpansion:
     """Representation ending in maximal digits q_k - 1 forever.
 
@@ -103,7 +104,7 @@ def _validate_canonical(cof: CofiniteExpansion, Q: QSequence) -> None:
         raise DomainError(f"cofinite head not canonical: digit at position {m} must be <= base - 2")
 
 
-@dataclass(frozen=True)
+@_record
 class DualRepresentationReport:
     """Whether p/r also has a trailing-maximum representation.
 
@@ -138,12 +139,12 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
         if not ds:
             raise DomainError("the zero value has no trailing-maximum twin")
         ds[-1] -= 1
-        return CofiniteExpansion(DigitWord(tuple(ds)))
+        return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
     if isinstance(form, CofiniteExpansion):
         _validate_canonical(form, Q)
         ds = list(form.head.digits)
         ds[-1] += 1
-        return DigitWord(tuple(ds))
+        return _unchecked(DigitWord, tuple(ds), 1)
     raise TypeError(f"expected DigitWord or CofiniteExpansion, got {form!r}")
 
 
@@ -203,7 +204,7 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=cof)
 
 
-@dataclass(frozen=True)
+@_record
 class ShiftConstantReport:
     """Digit-ratio constancy check over a window of positions.
 
@@ -260,7 +261,7 @@ def shift_constant_check(
     return ShiftConstantReport(holds, n0, target if holds else None, witnesses, conclusive)
 
 
-@dataclass(frozen=True)
+@_record
 class FixedPointCandidate:
     """One candidate eps/(q-1) for a value fixed by every shift."""
 
@@ -271,7 +272,7 @@ class FixedPointCandidate:
     endpoint: bool
 
 
-@dataclass(frozen=True)
+@_record
 class FixedPointReport:
     """All q candidates eps/(q-1), q = min base, with membership verdicts.
 
@@ -342,7 +343,7 @@ def fixed_point_digits(Q: QSequence, eps: int, q: int | None = None) -> Iterator
         yield d
 
 
-@dataclass(frozen=True)
+@_record
 class RegroupBlock:
     """One regrouped block: new digit lam, new base mu + 1."""
 
@@ -350,7 +351,7 @@ class RegroupBlock:
     mu: int
 
 
-@dataclass(frozen=True)
+@_record
 class Regrouping:
     """Blockwise summary of a regrouping.
 
@@ -427,4 +428,4 @@ def regroup(
     ratio_constant = len({Fraction(b.lam, b.mu) for b in blocks}) == 1
     proportional = all(b.lam * mu == b.mu * lam_star for b in blocks)
     report = Regrouping(bps, tuple(blocks), mu, lam_star, ratio_constant, proportional)
-    return tuple(b.mu + 1 for b in blocks), DigitWord(b.lam for b in blocks), report
+    return tuple(b.mu + 1 for b in blocks), _unchecked(DigitWord, tuple(b.lam for b in blocks), 1), report

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cantorseries
 from cantorseries.cli import _COMMANDS, main
 
 
@@ -227,6 +230,45 @@ def test_counts_past_sys_maxsize_exit_two(capsys, argv):
         code, out, err = run_cli(capsys, *argv, *mode)
         assert code == 2 and out == ""
         assert err.startswith("domain error: ") and err.count("\n") == 1
+
+
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cantorseries.__file__).resolve().parent.parent)}
+
+
+def run_child(argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, *argv], env=CHILD_ENV, capture_output=True, text=True, timeout=120, **kwargs
+    )
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    probe = "import sys, cantorseries.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    done = run_child(["-S", "-c", probe])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="sizes the cap from /proc/self/status")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--q", "const:10", "--x", "rat:1/3", "--count", "10000000000"),
+        ("shift-const", "--q", "const:10", "--x", "rat:1/3", "--horizon", "10000000000", "--json"),
+    ],
+)
+def test_memory_exhaustion_is_a_domain_error(argv):
+    # Counts below sys.maxsize but past memory: the digit list outgrows a
+    # cap on the child's address space, 64 MiB above what importing the CLI
+    # took.  setrlimit runs in the child alone, between fork and exec.
+    resource = pytest.importorskip("resource")
+    probe = run_child(["-c", "import cantorseries.cli; print(open('/proc/self/status').read())"])
+    peak_kb = next(int(line.split()[1]) for line in probe.stdout.splitlines() if line.startswith("VmPeak:"))
+    cap = peak_kb * 1024 + 64 * 2**20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = run_child(["-m", "cantorseries.cli", *argv], preexec_fn=limit_address_space)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "domain error: out of memory\n")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

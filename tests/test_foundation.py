@@ -73,6 +73,7 @@ def test_constructors_reject_invalid_sequences(bad):
 
 def test_one_entry_period_is_the_constant_sequence():
     assert Periodic((7,)) == Constant(7)
+    assert hash(Periodic((7,))) == hash(Constant(7))
     assert format_qseq(Periodic((7,))) == "const:7"
 
 
