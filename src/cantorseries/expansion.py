@@ -176,8 +176,10 @@ def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
     """Exact value sigma^n(x) of the n-times shifted tail.
 
     On reduced x = u/v, sigma^n(x) = u_n/v with u_n = u * (q1...q_n mod v)
-    mod v, so no shift step is walked: one modular power for list-backed Q,
-    n small modular multiplies for rule sequences.
+    mod v, so no shift step is walked: one modular power for list-backed Q;
+    for rule sequences one modular power and at most min(n, v) small
+    modular multiplies, as any v consecutive bases of rule:odd have the
+    same product mod v.
     """
     x = _unit_value(x)
     v = x.denominator

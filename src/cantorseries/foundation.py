@@ -25,8 +25,8 @@ from fractions import Fraction
 
 __all__ = [
     "Constant", "DomainError", "ListBacked", "ParseError", "Periodic", "PrefixPeriodic", "QSequence",
-    "Rational", "Rule", "TailMin", "UndecidableError",
-    "base_product", "bases", "format_qseq", "iter_bases", "parse_qseq", "prefix_and_period", "q_at", "tail_min",
+    "Rational", "Rule", "TailMin",
+    "base_product", "bases", "format_qseq", "iter_bases", "parse_qseq", "q_at", "tail_min",
 ]
 
 Rational = Fraction
@@ -38,10 +38,6 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """An exact operation was applied outside its domain."""
-
-
-class UndecidableError(DomainError):
-    """The requested property is not decidable from declared sequence facts."""
 
 
 def _check_int(value: object, lowest: int, what: str) -> int:
@@ -161,40 +157,20 @@ class Rule:
 QSequence = ListBacked | Rule
 
 
-@_record
-class _RuleInfo:
-    """Declared, proof-backed facts about a catalog rule.
-
-    The catalog is closed on purpose: tail-minimum queries and divisibility
-    decisions rely on properties (monotonicity, parity of entries) that
-    cannot be inferred from an arbitrary user formula.
-    """
-
-    base: Callable[[int], int]
-    monotone_increasing: bool
-    odd_entries: bool
-    # True when (q(1) - 1) divides eps * (q(k) - 1) for every k and every
-    # digit candidate eps; lets fixed-point membership skip enumeration.
-    all_fixed_point_candidates: bool
-
-
-RULE_CATALOG: dict[str, _RuleInfo] = {
-    # q_k = 2k + 1: the odd numbers 3, 5, 7, ...  Monotone, all entries odd,
-    # and q(1) - 1 = 2 divides every q_k - 1 = 2k.
-    "odd": _RuleInfo(
-        base=lambda k: 2 * k + 1,
-        monotone_increasing=True,
-        odd_entries=True,
-        all_fixed_point_candidates=True,
-    ),
-}
+# The closed catalog of rule sequences: rule id -> k -> q_k.  Its one rule,
+# q_k = 2k + 1, gives 3, 5, 7, ...; structure relies on three of its facts:
+# the bases increase (the tail minimum is the next base), every base is odd
+# (no even denominator divides a base product), and q_1 - 1 = 2 divides
+# every q_k - 1 = 2k (every fixed-point candidate is a member).
+# _base_product_mod uses a fourth: q_{k+v} = q_k + 2v.
+RULE_CATALOG: dict[str, Callable[[int], int]] = {"odd": lambda k: 2 * k + 1}
 
 
 def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     """Endless iterator over the bases q_start, q_{start+1}, ..."""
     _check_int(start, 1, "base position")
     if isinstance(Q, Rule):
-        return map(RULE_CATALOG[Q.rule_id].base, itertools.count(start))
+        return map(RULE_CATALOG[Q.rule_id], itertools.count(start))
     if not isinstance(Q, ListBacked):
         raise TypeError(f"not a QSequence: {Q!r}")
     pre, per = Q.prefix, Q.period
@@ -286,20 +262,30 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
     return _merge_runs(runs)[1] * whole**cycles
 
 
-def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
-    """base_product(Q, lo, hi) % modulus without the big product: one modular
-    power for the whole periods and one small multiply per other factor,
-    which for rule sequences is hi - lo + 1 steps."""
-    factors, _, whole, cycles = _product_split(Q, lo, hi)
-    out = pow(whole, cycles, modulus)
+def _product_mod(factors: Iterable[int], modulus: int, out: int = 1) -> int:
+    """out times the factors, reduced mod `modulus` after each multiply."""
     for q in factors:
         out = out * q % modulus
     return out
 
 
-def prefix_and_period(Q: QSequence) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Prefix/period view of a list-backed sequence, or None for rule kinds."""
-    return None if isinstance(Q, Rule) else (Q.prefix, Q.period)
+def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
+    """base_product(Q, lo, hi) % modulus without the big product: one modular
+    power and at most one small multiply per other factor.
+
+    For list-backed sequences the power covers the whole periods.  For rule
+    sequences it covers runs of v = modulus bases: q_{k+v} = q_k + 2v for
+    q_k = 2k + 1, so any v consecutive bases have the same product mod v,
+    and a range of any length takes at most v multiplies.
+    """
+    factors, size, whole, cycles = _product_split(Q, lo, hi)
+    if isinstance(Q, Rule):
+        cycles, rest = divmod(size, modulus)
+        part = _product_mod(itertools.islice(factors, rest), modulus)
+        # the run q_lo .. q_{lo+v-1}: those rest bases, then the next v - rest
+        whole = _product_mod(itertools.islice(factors, modulus - rest), modulus, part) if cycles else 1
+        return pow(whole, cycles, modulus) * part % modulus
+    return _product_mod(factors, modulus, pow(whole, cycles, modulus))
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -365,7 +351,8 @@ def format_qseq(Q: QSequence) -> str:
 class TailMin:
     """Minimum base strictly beyond a position.
 
-    `value` is min{ q_k : k > after } when `decidable`, else None.
+    `value` is min{ q_k : k > after }.  Every sequence the package accepts
+    has one, so `decidable` is always True.
     """
 
     after: int
@@ -376,14 +363,8 @@ class TailMin:
 def tail_min(Q: QSequence, n0: int = 0) -> TailMin:
     """Exact minimum of q_k over k > n0.
 
-    List-backed kinds are decided by the remaining prefix plus one full
-    period.  Rule kinds are decided only when the catalog declares
-    the rule monotone increasing, in which case the minimum is q_{n0+1}.
+    For list-backed kinds it is the least of the remaining prefix and one
+    full period; the bases of the rule increase, so there it is q_{n0+1}.
     """
     _check_int(n0, 0, "tail start n0")
-    if not isinstance(Q, Rule):
-        return TailMin(n0, min(Q.prefix[n0:] + Q.period), True)
-    info = RULE_CATALOG[Q.rule_id]
-    if info.monotone_increasing:
-        return TailMin(n0, q_at(Q, n0 + 1), True)
-    return TailMin(n0, None, False)
+    return TailMin(n0, q_at(Q, n0 + 1) if isinstance(Q, Rule) else min(Q.prefix[n0:] + Q.period), True)

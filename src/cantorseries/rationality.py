@@ -120,15 +120,16 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the
     recorded shift value and block product match, and that the reduced
     denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
-    pass: any valid recurrence certifies.  A rule-sequence range 1..n or
-    n+1..n+m longer than sys.maxsize cannot be multiplied out and fails
-    the field check (invalid_fields).
+    pass: any valid recurrence certifies.  A range 1..n longer than
+    sys.maxsize on a rule sequence, or n+1..n+m longer than it on any
+    sequence, fails the field check (invalid_fields).
 
     No shift steps are walked.  With x = u_0/v and u_k = q_k * u_{k-1} mod v,
     u_n = u_0 * (q1...q_n mod v) mod v and u_{n+m} = u_n * P mod v, so the
     recurrence holds iff v divides u_n * (P - 1).  The cost is that of the
-    block product P plus, for list-backed Q, one modular power; rule
-    sequences take n small modular multiplies.
+    block product P plus one modular power; rule sequences add at most
+    min(n, v) small modular multiplies, as any v consecutive bases of
+    rule:odd have the same product mod v.
     """
     n, m = cert.n, cert.m
     if any(not isinstance(f, int) or isinstance(f, bool) for f in (n, m)) or n < 0 or m < 1:

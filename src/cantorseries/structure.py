@@ -15,10 +15,9 @@ from fractions import Fraction
 
 from .foundation import (
     DomainError,
+    ListBacked,
     QSequence,
-    RULE_CATALOG,
     Rational,
-    UndecidableError,
     _check_count,
     _check_int,
     _record,
@@ -26,7 +25,6 @@ from .foundation import (
     base_product,
     bases,
     iter_bases,
-    prefix_and_period,
     q_at,
     tail_min,
 )
@@ -110,8 +108,8 @@ class DualRepresentationReport:
 
     decision "yes" carries the minimal n0 with r | q1...q_{n0} and both
     materialised forms; "no" is proved (r does not divide the product at
-    the depth that would suffice, or a declared rule fact); "undecided"
-    reports the exhausted search bound.
+    the depth that would suffice, or an even r on rule:odd, whose bases are
+    all odd); "undecided" reports the exhausted search bound.
     """
 
     decision: str
@@ -157,10 +155,9 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     divides the period product needs at most bits(r) periods after the
     prefix.  Closed-form products at k = 1, 2, 4, ... (capped at top), then
     a bisection of the last doubling, find n0 from O(log n0) products of at
-    most 2 * n0 bases.  For rule sequences the catalog's declared facts
-    apply (all-odd entries kill any even denominator); otherwise the
-    residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k) runs until r_k = 1 or
-    `bound` positions, and reports undecided past it.
+    most 2 * n0 bases.  On rule:odd every base is odd, so an even r is a
+    "no"; an odd r runs the residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k)
+    until r_k = 1 or `bound` positions, and reports undecided past it.
     """
     x = _unit_value(x)
     if x == 0:
@@ -168,10 +165,8 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     _check_int(bound, 1, "search bound")
     r = x.denominator
 
-    view = prefix_and_period(Q)
-    if view is not None:
-        pre, per = view
-        top = len(pre) + len(per) * r.bit_length()
+    if isinstance(Q, ListBacked):
+        top = len(Q.prefix) + len(Q.period) * r.bit_length()
         lo, hi = 0, 1  # r >= 2 does not divide the empty product
         while base_product(Q, 1, hi) % r:
             if hi >= top:
@@ -184,7 +179,7 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
             else:
                 hi = mid
         n0 = hi
-    elif RULE_CATALOG[Q.rule_id].odd_entries and r % 2 == 0:
+    elif r % 2 == 0:
         return DualRepresentationReport("no")
     else:
         residual = r
@@ -247,17 +242,9 @@ def shift_constant_check(
     target = shift_value(x, Q, n0)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), word.digits[n0:], iter_bases(Q, n0 + 1)))
     holds = all(Fraction(e, q - 1) == target for _, e, q in witnesses)
-
-    if not holds:
-        conclusive = True
-    else:
-        view = prefix_and_period(Q)
-        if view is None:
-            conclusive = False
-        else:
-            pre, per = view
-            needed = (max(n0, len(pre)) - n0) + x.denominator * len(per)
-            conclusive = horizon >= needed
+    conclusive = not holds or (
+        isinstance(Q, ListBacked) and horizon >= max(n0, len(Q.prefix)) - n0 + x.denominator * len(Q.period)
+    )
     return ShiftConstantReport(holds, n0, target if holds else None, witnesses, conclusive)
 
 
@@ -293,54 +280,39 @@ def fixed_points(Q: QSequence) -> FixedPointReport:
     Any such value is eps/(q-1) with q the minimum base and
     eps in {0, ..., q-1}; membership is the integrality of the digit rule
     e_n = eps*(q_n - 1)/(q - 1), checked over the prefix plus one full
-    period for list-backed sequences and settled by catalog facts for rule
-    sequences.
+    period for list-backed sequences.  On rule:odd, q - 1 = 2 divides every
+    q_n - 1 = 2n, so every candidate is a member.
     """
-    tm = tail_min(Q, 0)
-    if not tm.decidable:
-        raise UndecidableError("tail minimum undecidable: fixed-point candidates unknown")
-    q = tm.value
-    assert q is not None
-
-    view = prefix_and_period(Q)
-    if view is None and not RULE_CATALOG[Q.rule_id].all_fixed_point_candidates:
-        raise UndecidableError(f"rule {Q.rule_id!r} declares no fixed-point membership fact")
-
+    q = tail_min(Q, 0).value
+    checked = Q.prefix + Q.period if isinstance(Q, ListBacked) else ()
     candidates = []
     for eps in range(q):
-        member, failing = True, None
-        if view is not None:
-            pre, per = view
-            for n, qn in enumerate(pre + per, 1):
-                if eps * (qn - 1) % (q - 1) != 0:
-                    member, failing = False, n
-                    break
-        candidates.append(
-            FixedPointCandidate(eps, Fraction(eps, q - 1), member, failing, endpoint=eps == q - 1)
-        )
+        failing = next((n for n, qn in enumerate(checked, 1) if eps * (qn - 1) % (q - 1)), None)
+        candidates.append(FixedPointCandidate(eps, Fraction(eps, q - 1), failing is None, failing, endpoint=eps == q - 1))
     return FixedPointReport(q, tuple(candidates))
 
 
 def fixed_point_digits(Q: QSequence, eps: int, q: int | None = None) -> Iterator[int]:
-    """Digit generator e_n = eps*(q_n - 1)/(q - 1) of a fixed-point member.
+    """Digit iterator e_n = eps*(q_n - 1)/(q - 1) of a fixed-point member.
 
-    Raises on the first position where the rule is not integral, i.e. when
-    eps is not actually a member.
+    q defaults to the minimum base, tail_min(Q).value.  Q, eps and q are
+    checked at the call; the iterator raises DomainError on the first
+    position where the rule is not integral, i.e. when eps is not actually
+    a member.
     """
-    if q is None:
-        tm = tail_min(Q, 0)
-        if not tm.decidable:
-            raise UndecidableError("tail minimum undecidable: no digit rule")
-        q = tm.value
-        assert q is not None
-    _check_int(q, 2, "minimum base q")
+    qs = iter_bases(Q)
+    q = tail_min(Q).value if q is None else _check_int(q, 2, "minimum base q")
     if not 0 <= _check_int(eps, 0, "digit candidate") <= q - 1:
         raise DomainError(f"digit candidate must lie in 0..{q - 1}, got {eps}")
-    for n, qn in enumerate(iter_bases(Q), 1):
-        d, r = divmod(eps * (qn - 1), q - 1)
-        if r:
-            raise DomainError(f"candidate {eps} fails the integrality test at position {n}")
-        yield d
+
+    def digits() -> Iterator[int]:
+        for n, qn in enumerate(qs, 1):
+            d, r = divmod(eps * (qn - 1), q - 1)
+            if r:
+                raise DomainError(f"candidate {eps} fails the integrality test at position {n}")
+            yield d
+
+    return digits()
 
 
 @_record
@@ -394,12 +366,11 @@ def regroup(
     if callable(breakpoints):
         if count is None:
             raise DomainError("breakpoint rule needs an explicit block count")
-        bps = tuple(breakpoints(k) for k in range(1, count + 1))
+        # count is checked before the rule runs: a float would leak TypeError, a huge count fill memory
+        bps = tuple(map(breakpoints, range(1, _check_count(_check_int(count, 1, "block count")) + 1)))
     else:
         bps = tuple(breakpoints)
-        if count is None:
-            count = len(bps)
-    _check_int(count, 1, "block count")
+        count = _check_int(len(bps) if count is None else count, 1, "block count")
     if len(bps) < count:
         raise DomainError(f"need {count} breakpoints, got {len(bps)}")
     bps = bps[:count]

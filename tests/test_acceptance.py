@@ -29,7 +29,6 @@ from cantorseries import (
     fixed_point_digits,
     fixed_points,
     parse_qseq,
-    prefix_and_period,
     q_at,
     reconstruct,
     regroup,
@@ -137,7 +136,7 @@ def test_criterion_5_dual_representation_equivalence():
     checked = 0
     for qspec in LIST_KIND_QS:
         Q = parse_qseq(qspec)
-        pre, per = prefix_and_period(Q)
+        pre, per = Q.prefix, Q.period
         for x in _reduced_fractions(100):
             report = dual_representation(x, Q)
             stops = _first_zero_state(x, Q, len(pre), len(per))

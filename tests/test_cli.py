@@ -80,6 +80,15 @@ def test_verify_far_certificate_is_fast(capsys):
     assert code == 0 and report["ok"] is True
 
 
+def test_verify_far_certificate_on_the_rule_sequence_is_fast(capsys):
+    # n = 10**8 bases of rule:odd: any v consecutive bases have one product mod v,
+    # so the check takes at most v multiplies, not n.
+    began = time.perf_counter()
+    code, report, _ = run_json(capsys, "verify", "--q", "rule:odd", "--x", "rat:1/3", "--n", "100000000", "--m", "1")
+    assert time.perf_counter() - began < 2.0
+    assert code == 0 and report["ok"] is True
+
+
 def test_reconstruct_json(capsys):
     code, report, _ = run_json(capsys, "reconstruct", "--q", "rule:odd", "--x", "block:|1")
     assert code == 0

@@ -17,6 +17,7 @@ from cantorseries import (
     q_at,
     tail_min,
 )
+from cantorseries.foundation import _base_product_mod
 
 
 def test_q_at_constant():
@@ -188,6 +189,17 @@ def test_rule_products_match_one_multiply_per_base(count):
     for start in (1, 7):
         want = math.prod(2 * k + 1 for k in range(start, start + count))
         assert base_product(Rule("odd"), start, start + count - 1) == want
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 7, 9, 15, 64, 1000])
+def test_rule_products_mod_v_match_the_full_product(v):
+    # ranges shorter than v, of exactly v bases, and crossing one or more
+    # multiples of v, from starts on both sides of one
+    for lo in (1, 2, v, v + 1, 3 * v - 1):
+        for count in (0, 1, v - 1, v, v + 1, 2 * v + 3, 5 * v):
+            hi = lo + count - 1
+            want = math.prod(2 * k + 1 for k in range(lo, hi + 1)) % v
+            assert _base_product_mod(Rule("odd"), lo, hi, v) == base_product(Rule("odd"), lo, hi) % v == want
 
 
 @pytest.mark.parametrize("Q", [Constant(10), Periodic((2, 3)), PrefixPeriodic((5,), (2, 3))])

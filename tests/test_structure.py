@@ -12,7 +12,7 @@ from cantorseries import (
     Periodic,
     PrefixPeriodic,
     Rule,
-    UndecidableError,
+    TailMin,
     bases,
     cofinite_value,
     convert_dual,
@@ -25,6 +25,7 @@ from cantorseries import (
     regroup,
     shift_constant_check,
     shift_value,
+    tail_min,
 )
 
 ODD = Rule("odd")
@@ -287,6 +288,13 @@ def test_fixed_point_digits_range_check():
         next(fixed_point_digits(Periodic((3, 5)), 7, q=3))
 
 
+@pytest.mark.parametrize("Q,eps", [(P23, 1.0), (P23, 2), (ODD, -1), ("const:10", 0)])
+def test_fixed_point_digits_check_their_arguments_at_the_call(Q, eps):
+    # q defaults to the minimum base: 2 on P23, so eps = 2 is out of range
+    with pytest.raises((DomainError, TypeError)):
+        fixed_point_digits(Q, eps)
+
+
 @pytest.mark.parametrize("eps,q", [(1.0, 3), (True, 3), (1, 3.0), (1, True), (0, 1)])
 def test_fixed_point_digits_need_integer_candidate_and_base(eps, q):
     with pytest.raises(DomainError):
@@ -377,6 +385,16 @@ def test_regroup_constant_shift_at_breakpoints_gives_constant_ratios():
         assert all(Fraction(b.lam, b.mu) == Fraction(1, 2) for b in report.blocks)
 
 
+@pytest.mark.parametrize("count", [2.0, 10**20])
+def test_regroup_checks_the_count_before_calling_a_breakpoint_rule(count):
+    # a float count would reach range() as a TypeError; 10**20 breakpoints would fill memory
+    def rule(k):
+        raise AssertionError("the breakpoint rule ran before the count was checked")
+
+    with pytest.raises(DomainError):
+        regroup(Fraction(1, 3), D10, rule, count=count)
+
+
 def test_regroup_mu_lambda_taken_at_first_minimal_block():
     # Blocks of different sizes: mu differs, lambda follows the first minimum.
     _, _, report = regroup(Fraction(3, 5), P23, (1, 3, 4))
@@ -386,10 +404,19 @@ def test_regroup_mu_lambda_taken_at_first_minimal_block():
     assert report.lam == report.blocks[first].lam
 
 
-def test_fixed_points_undecidable_only_with_undeclared_rules():
-    # every catalog rule present today decides; exercise the q >= 2 guard path
+def test_rule_odd_facts_settle_tail_min_and_fixed_points():
+    # q_k = 2k + 1 increases, so the tail minimum is the next base
+    for n0 in (0, 1, 5, 100):
+        assert tail_min(ODD, n0) == TailMin(n0, 2 * n0 + 3, True)
+    # q - 1 = 2 divides every q_k - 1 = 2k, so every candidate is a member
     report = fixed_points(ODD)
-    assert report.q >= 2
+    assert report.q == 3
+    assert [(c.eps, c.member, c.failing_position) for c in report.candidates] == [
+        (0, True, None), (1, True, None), (2, True, None)
+    ]
+    for eps in (0, 1):
+        word, _ = expand(Fraction(eps, 2), ODD, 50)
+        assert tuple(itertools.islice(fixed_point_digits(ODD, eps), 50)) == word.digits
 
 
 def test_windows_and_breakpoints_too_large_to_materialise_are_domain_errors():
