@@ -246,16 +246,33 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, 
     return _take(it, head + rest), head + rest, math.prod(Q.period), cycles
 
 
+# The largest product base_product builds: 2**22 bits (512 KiB, about 1.26
+# million decimal digits); the largest it admits took 0.4 to 0.5 s to build
+# (Python 3.11.7, shared VM).  The largest that the tests, the README and
+# the benchmark build is 10**50001, about 166,000 bits.
+_MAX_PRODUCT_BITS = 1 << 22
+
+
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
     """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
 
     For list-backed sequences only the prefix part and one partial period
     are multiplied out; the whole periods in between are one power.  More
     than _RUN other factors go in runs merged by _merge_runs, so m rule
-    bases cost O(M(m) log m).  A range past sys.maxsize raises DomainError.
+    bases cost O(M(m) log m).  A range past sys.maxsize raises DomainError,
+    and so does, before any multiply, a product whose size estimate passes
+    _MAX_PRODUCT_BITS: cycles * bits(period product) for the whole periods
+    of a list-backed range, count * bits(q_hi) for a rule range (its bases
+    increase).  Both are upper bounds on the bit length of what they size.
     """
     factors, size, whole, cycles = _product_split(Q, lo, hi)
     _check_count(hi - lo + 1)
+    if isinstance(Q, ListBacked):
+        bits = cycles * whole.bit_length()
+    else:
+        bits = size * RULE_CATALOG[Q.rule_id](hi).bit_length()
+    if bits > _MAX_PRODUCT_BITS:
+        raise DomainError(f"product of bases {lo}..{hi} would exceed {_MAX_PRODUCT_BITS} bits")
     if size <= _RUN:
         return math.prod(factors) * whole**cycles
     runs = ((0, math.prod(itertools.islice(factors, _RUN))) for _ in range(0, size, _RUN))
@@ -365,6 +382,7 @@ def tail_min(Q: QSequence, n0: int = 0) -> TailMin:
 
     For list-backed kinds it is the least of the remaining prefix and one
     full period; the bases of the rule increase, so there it is q_{n0+1}.
+    Anything but a QSequence raises TypeError, as in iter_bases.
     """
     _check_int(n0, 0, "tail start n0")
-    return TailMin(n0, q_at(Q, n0 + 1) if isinstance(Q, Rule) else min(Q.prefix[n0:] + Q.period), True)
+    return TailMin(n0, min(Q.prefix[n0:] + Q.period) if isinstance(Q, ListBacked) else q_at(Q, n0 + 1), True)

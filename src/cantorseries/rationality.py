@@ -6,6 +6,15 @@ For reduced x = u/v every shift value is u_k/v with u_k in {0, ..., v-1},
 so a recurrence must appear within v steps, and conversely a recurrence
 pins x down in closed form.  This module finds, checks, and inverts such
 certificates.
+
+The first recurrence of u/v depends on Q and v alone, as
+u_k = u * (q1...q_k mod v) mod v with u a unit mod v.  On a list-backed Q
+it is found without a step per state: a short walk uses up the prefix
+and the primes v shares with the period product, and then one
+baby-step giant-step table of about sqrt(v) powers of the period product
+gives, for every pair of period phases, the first step at which they
+meet.  Rule sequences, and denominators below a measured crossover, scan
+the states one step at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from fractions import Fraction
 
 from .foundation import (
     DomainError,
+    ListBacked,
     QSequence,
     Rational,
     _base_product_mod,
@@ -22,7 +32,7 @@ from .foundation import (
     base_product,
     iter_bases,
 )
-from .expansion import DigitWord, _positional, _residues, _unit_value, validate_digits
+from .expansion import DigitWord, _positional, _unit_value, expand, validate_digits
 
 __all__ = [
     "BlockDescription", "CertificateCheck", "RationalityCertificate",
@@ -83,33 +93,55 @@ class BlockDescription:
             raise DomainError(f"block must start at position {want}, got {self.block.start}")
 
 
-def _recurrence(x: Rational | int, Q: QSequence) -> tuple[Fraction, int, int, int, list[int]]:
-    """Scan for the earliest recurrence: (x, n, m, u_n, digits 1..n+m).
+# Below this denominator the scan of at most v steps is cheaper than
+# phase_search's fixed cost.  Measured crossovers (Python 3.11.7, shared
+# VM): about 400 on const:2 and const:10, 500 to 800 on periodic:2,3 and
+# 1000 to past 1500 on periodic:5,2,7, whose scans end early; the mean of
+# the four crosses between 512 and 768.
+_SCAN_BELOW = 512
 
-    Records the first step at which each state u_k appears and stops at the
-    first state seen twice, at step n + m.
+
+def _recurrence(x: Fraction, Q: QSequence) -> tuple[int, int, int]:
+    """(n, m, u_n) of the earliest recurrence u_n = u_{n+m} of reduced
+    x = u/v, with u_k = q_k * u_{k-1} mod v.
+
+    As u_k = u * pi_k mod v with pi_k = q1...q_k mod v and u a unit mod v,
+    (n, m) depends on Q and v alone: a list-backed Q with v >= _SCAN_BELOW
+    takes _phases.phase_search.  Rule sequences, and smaller v, scan: the
+    first step at which each state appears is kept, up to the first state
+    seen twice, at step n + m <= v.
     """
-    x = _unit_value(x)
-    first_seen = {x.numerator: 0}
-    digits = []
-    for d, u in _residues(x.numerator, x.denominator, iter_bases(Q)):
-        digits.append(d)
-        n = first_seen.setdefault(u, len(digits))
-        if n < len(digits):
-            return x, n, len(digits) - n, u, digits
+    u, v = x.numerator, x.denominator
+    if isinstance(Q, ListBacked) and v >= _SCAN_BELOW:
+        from ._phases import phase_search
+
+        n, m = phase_search(Q, v)
+        return n, m, u * _base_product_mod(Q, 1, n, v) % v
+    first_seen = {u: 0}
+    for k, q in enumerate(iter_bases(Q), 1):
+        u = q * u % v
+        n = first_seen.setdefault(u, k)
+        if n < k:
+            return n, k - n, u
 
 
 def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
     """Earliest shift-state recurrence of x under Q.
 
-    Scans sigma^0, sigma^1, ... recording the first step at which each exact
-    value appears; stops at the first value seen twice.  On reduced x = u/v
-    the states are the integers u_k = q_k * u_{k-1} mod v, at most v distinct
-    ones, so the scan stops with n + m <= v.  The returned pair minimises
-    n + m (the first collision happens at step n + m), which makes the
-    output canonical even though any later recurrence would certify too.
+    On reduced x = u/v the shift values are u_k/v with
+    u_k = q_k * u_{k-1} mod v, at most v distinct ones, so a recurrence
+    sigma^n(x) = sigma^{n+m}(x) appears with n + m <= v.  The returned pair
+    is the first one, the least n + m, which makes the output canonical
+    even though any later recurrence would certify too.  On a list-backed
+    Q with v >= _SCAN_BELOW it comes from a closed form: a walk of at most
+    len(prefix) + L * bits(v) steps and at most (len(prefix) + L) * L
+    discrete logs over one baby-step table of ceil(sqrt(v)) entries, L the
+    period length; otherwise from a scan of n + m steps.  sigma_value is
+    then (u * (q1...q_n mod v) mod v)/v, and the block product is built in
+    closed form: one past base_product's size bound raises DomainError.
     """
-    x, n, m, u, _ = _recurrence(x, Q)
+    x = _unit_value(x)
+    n, m, u = _recurrence(x, Q)
     return RationalityCertificate(n, m, Fraction(u, x.denominator), base_product(Q, n + 1, n + m))
 
 
@@ -122,7 +154,8 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
     pass: any valid recurrence certifies.  A range 1..n longer than
     sys.maxsize on a rule sequence, or n+1..n+m longer than it on any
-    sequence, fails the field check (invalid_fields).
+    sequence or with a product past base_product's size bound, fails the
+    field check (invalid_fields).
 
     No shift steps are walked.  With x = u_0/v and u_k = q_k * u_{k-1} mod v,
     u_n = u_0 * (q1...q_n mod v) mod v and u_{n+m} = u_n * P mod v, so the
@@ -163,11 +196,12 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
 def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
     """Eventually-recurring digit description of x.
 
-    The digits come from the same scan that certify_rational runs, so they
-    equal certify-then-expand split at n.
+    The recurrence (n, m) is certify_rational's, found the same way, and
+    the digits are expand(x, Q, n + m) split at n.
     """
-    _, n, _, _, digits = _recurrence(x, Q)
-    digits = tuple(digits)
+    x = _unit_value(x)
+    n, m, _ = _recurrence(x, Q)
+    digits = expand(x, Q, n + m)[0].digits
     return BlockDescription(_unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
 
 

@@ -155,7 +155,8 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     divides the period product needs at most bits(r) periods after the
     prefix.  Closed-form products at k = 1, 2, 4, ... (capped at top), then
     a bisection of the last doubling, find n0 from O(log n0) products of at
-    most 2 * n0 bases.  On rule:odd every base is odd, so an even r is a
+    most 2 * n0 bases, each under base_product's size bound (past it,
+    DomainError).  On rule:odd every base is odd, so an even r is a
     "no"; an odd r runs the residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k)
     until r_k = 1 or `bound` positions, and reports undecided past it.
     """
@@ -361,7 +362,8 @@ def regroup(
     Each block is one shift step in the regrouped base: from the state
     sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v).  The
     cost is the block products plus one division per block; a last
-    breakpoint past sys.maxsize raises DomainError before any product.
+    breakpoint past sys.maxsize raises DomainError before any product, and
+    a block product past base_product's size bound before it is built.
     """
     if callable(breakpoints):
         if count is None:

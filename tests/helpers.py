@@ -80,6 +80,21 @@ def oracle_certificate_check(x: Fraction, Q: QSequence, cert) -> CertificateChec
     return CertificateCheck(reason is None, reason, recurrence, divisible)
 
 
+def oracle_first_repeat(x: Fraction, prefix: tuple[int, ...], period: tuple[int, ...]) -> tuple[int, int, Fraction]:
+    """(n, m, sigma^n(x)) of the first repeated shift state of reduced
+    x = u/v over the literal bases prefix + period, period, ...: the
+    integer states u_k = q_k * u_{k-1} mod v are walked one base at a time
+    until one comes back, each kept with the step it first appeared at."""
+    u, v = x.numerator, x.denominator
+    qs = itertools.chain(prefix, itertools.cycle(period))
+    first = {}
+    for k in itertools.count():
+        if u in first:
+            return first[u], k - first[u], Fraction(u, v)
+        first[u] = k
+        u = next(qs) * u % v
+
+
 def oracle_dual_chain(x: Fraction, Q: QSequence, bound: int) -> tuple[str, int | None]:
     """(decision, n0) of the dual-representation question by the per-position
     residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k): "yes" at the first k
@@ -155,6 +170,25 @@ def wide_fractions():
         st.integers(min_value=2**600, max_value=2**1000),
         st.randoms(use_true_random=True),
     )
+
+
+@st.composite
+def recurrence_cases(draw):
+    """(prefix, period, v): a period of 1 to 4 bases 2..12, an empty or
+    1-to-4-base prefix, and v <= 10**4, either any or a multiple of a power
+    of a prime of the bases (up to p**13 for p = 2)."""
+    short = st.lists(base_entries(), min_size=1, max_size=4).map(tuple)
+    prefix = draw(st.one_of(st.just(()), short))
+    period = draw(short)
+    primes = sorted({p for q in prefix + period for p in (2, 3, 5, 7, 11) if q % p == 0})
+    shared = st.sampled_from(primes).flatmap(
+        lambda p: st.integers(min_value=1, max_value=int(math.log(10**4, p))).map(lambda e: p**e)
+    )
+    v = draw(st.one_of(
+        st.integers(min_value=1, max_value=10**4),
+        shared.flatmap(lambda pe: st.integers(min_value=1, max_value=10**4 // pe).map(lambda k: k * pe)),
+    ))
+    return prefix, period, v
 
 
 # Primes of no base in qseqs() (entries 2..12), though rule:odd reaches each;

@@ -241,6 +241,21 @@ def test_counts_past_sys_maxsize_exit_two(capsys, argv):
         assert err.startswith("domain error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("regroup", "--q", "const:10", "--x", "rat:1/3", "--breakpoints", "10000000000"),
+        ("verify", "--q", "const:10", "--x", "rat:1/3", "--n", "0", "--m", "10000000000"),
+    ],
+)
+def test_block_products_past_the_size_bound_exit_two_at_once(capsys, argv):
+    # 10**(10**10) is below sys.maxsize bases but would take hours to square out
+    began = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - began < 2.0
+    assert (code, out) == (2, "") and err.startswith("domain error: ") and "bits" in err
+
+
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cantorseries.__file__).resolve().parent.parent)}
 
 
@@ -254,6 +269,21 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     probe = "import sys, cantorseries.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     done = run_child(["-S", "-c", probe])
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_phase_search_is_loaded_only_when_a_certificate_needs_it():
+    # a cold call pays for compiling _phases only when it certifies a
+    # list-backed value with v >= 512: below that the scan is cheaper
+    probe = (
+        "import sys, cantorseries.cli\n"
+        "from fractions import Fraction\n"
+        "from cantorseries import Constant, certify_rational\n"
+        "loaded = lambda: 'cantorseries._phases' in sys.modules\n"
+        "seen = [loaded()]; certify_rational(Fraction(1, 7), Constant(10)); seen.append(loaded())\n"
+        "certify_rational(Fraction(1, 1019), Constant(10)); print(seen + [loaded()])"
+    )
+    done = run_child(["-S", "-c", probe])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, True]\n", "")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="sizes the cap from /proc/self/status")

@@ -17,7 +17,7 @@ from cantorseries import (
     q_at,
     tail_min,
 )
-from cantorseries.foundation import _base_product_mod
+from cantorseries.foundation import _MAX_PRODUCT_BITS, _base_product_mod
 
 
 def test_q_at_constant():
@@ -160,6 +160,11 @@ def test_tail_min_matches_enumeration():
             assert got == want
 
 
+def test_tail_min_rejects_what_is_not_a_sequence():
+    with pytest.raises(TypeError, match="not a QSequence"):
+        tail_min("const:10")
+
+
 def test_tail_min_rejects_negative_start():
     with pytest.raises(DomainError):
         tail_min(Constant(2), -1)
@@ -207,3 +212,18 @@ def test_list_backed_products_too_long_to_build_are_domain_errors(Q):
     # whole ** cycles over 10**20 bases would exhaust memory, not fail fast
     with pytest.raises(DomainError, match="too large"):
         base_product(Q, 1, 10**20)
+
+
+def test_products_past_the_size_bound_are_domain_errors():
+    # whole periods: cycles * bits(period product); a rule range: count * bits(q_hi)
+    cycles = _MAX_PRODUCT_BITS // 2  # bits(2) = 2
+    assert base_product(Constant(2), 1, cycles) == 1 << cycles
+    for Q, hi in [
+        (Constant(2), cycles + 1),
+        (Periodic((2, 3)), _MAX_PRODUCT_BITS),
+        (PrefixPeriodic((5,), (10,)), 10**10),
+        (Rule("odd"), _MAX_PRODUCT_BITS // 16),
+    ]:
+        with pytest.raises(DomainError, match=f"exceed {_MAX_PRODUCT_BITS} bits"):
+            base_product(Q, 1, hi)
+    assert base_product(Constant(10), 1, 50001) == 10**50001  # the largest product the CLI tests print

@@ -1,7 +1,11 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantorseries import (
     BlockDescription,
@@ -10,6 +14,7 @@ from cantorseries import (
     DigitWord,
     DomainError,
     Periodic,
+    PrefixPeriodic,
     RationalityCertificate,
     Rule,
     block_description,
@@ -19,7 +24,8 @@ from cantorseries import (
     shift_value,
     verify_certificate,
 )
-from helpers import oracle_shift_states
+from cantorseries._phases import phase_search
+from helpers import oracle_first_repeat, oracle_shift_states, recurrence_cases
 
 ODD = Rule("odd")
 P23 = Periodic((2, 3))
@@ -200,10 +206,69 @@ def test_verify_rejects_rule_ranges_too_long_to_take_without_raising(n, m):
 
 
 def test_verify_rejects_list_backed_blocks_too_long_to_build_without_raising():
-    cert = RationalityCertificate(0, 10**20, Fraction(1, 3), 10)
-    assert verify_certificate(Fraction(1, 3), D10, cert) == CertificateCheck(False, "invalid_fields", False, False)
+    # past sys.maxsize bases, and below it but past base_product's size bound
+    for m in (10**20, 10**10):
+        cert = RationalityCertificate(0, m, Fraction(1, 3), 10)
+        assert verify_certificate(Fraction(1, 3), D10, cert) == CertificateCheck(False, "invalid_fields", False, False)
 
 
 def test_verify_far_certificate_on_list_backed_sequence_still_checks():
     cert = RationalityCertificate(10**20, 1, Fraction(1, 3), 10)
     assert verify_certificate(Fraction(1, 3), D10, cert).ok
+
+
+def _list_backed(prefix, period):
+    return PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+
+
+@given(recurrence_cases(), st.data())
+def test_closed_form_recurrence_matches_a_plain_walk(case, data):
+    # phase_search at every v, below the scan's crossover too; then
+    # certify_rational on some u/v, u = 0 among them, whichever path it takes.
+    prefix, period, v = case
+    Q = _list_backed(prefix, period)
+    assert phase_search(Q, v) == oracle_first_repeat(Fraction(1 % v, v), prefix, period)[:2]
+    x = Fraction(data.draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=max(1, v - 1)))), v) % 1
+    cert = certify_rational(x, Q)
+    assert (cert.n, cert.m, cert.sigma_value) == oracle_first_repeat(x, prefix, period)
+
+
+def test_closed_form_recurrence_on_every_small_case():
+    # every prefix of up to two bases and period of one or two from
+    # {2, 3, 4, 6}, at every v below 60: among them, prefix states whose gcd
+    # with v2 differs from that of the walk's last state
+    words = [()] + [w for k in (1, 2) for w in itertools.product((2, 3, 4, 6), repeat=k)]
+    for prefix in words:
+        for period in words[1:]:
+            Q = _list_backed(prefix, period)
+            for v in range(1, 60):
+                assert phase_search(Q, v) == oracle_first_repeat(Fraction(1 % v, v), prefix, period)[:2], (Q, v)
+
+
+PRIMES = (1009, 10007, 100003, 1000003, 10000019, 100000007, 1000000007)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("q", [2, 3, 10, 12])
+def test_constant_sequence_recurs_at_the_multiplicative_order(p, q):
+    # m = ord_p(q), and a factor 2**e of v (a prime of 2, 10 and 12) adds
+    # the n = ceil(e / (exponent of 2 in q)) steps that clear it
+    n_order = pytest.importorskip("sympy").n_order
+    assert phase_search(Constant(q), p) == (0, n_order(q, p))
+    if q % 2 == 0:
+        twos = (q & -q).bit_length() - 1
+        assert phase_search(Constant(q), p << 7) == (-(-7 // twos), n_order(q, p))
+
+
+def test_recurrence_of_a_ten_digit_prime_is_fast():
+    began = time.perf_counter()
+    assert phase_search(D10, 10**9 + 7) == (0, 10**9 + 6)
+    assert time.perf_counter() - began < 2.0
+
+
+def test_certificates_whose_block_product_passes_the_size_bound_are_domain_errors():
+    # (n, m) = (0, 10**9 + 6) takes milliseconds; 10**m would take hours
+    began = time.perf_counter()
+    with pytest.raises(DomainError, match="bits"):
+        certify_rational(Fraction(1, 10**9 + 7), D10)
+    assert time.perf_counter() - began < 2.0

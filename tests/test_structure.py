@@ -419,6 +419,11 @@ def test_rule_odd_facts_settle_tail_min_and_fixed_points():
         assert tuple(itertools.islice(fixed_point_digits(ODD, eps), 50)) == word.digits
 
 
+def test_fixed_points_rejects_what_is_not_a_sequence():
+    with pytest.raises(TypeError, match="not a QSequence"):
+        fixed_points("const:10")
+
+
 def test_windows_and_breakpoints_too_large_to_materialise_are_domain_errors():
     with pytest.raises(DomainError, match="too large"):
         shift_constant_check(Fraction(1, 3), D10, 10**20, 1)
