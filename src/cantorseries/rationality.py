@@ -8,17 +8,19 @@ pins x down in closed form.  This module finds, checks, and inverts such
 certificates.
 
 The first recurrence of u/v depends on Q and v alone, as
-u_k = u * (q1...q_k mod v) mod v with u a unit mod v.  On a list-backed Q
-it is found without a step per state: a short walk uses up the prefix
-and the primes v shares with the period product, and then one
-baby-step giant-step table of about sqrt(v) powers of the period product
-gives, for every pair of period phases, the first step at which they
-meet.  Rule sequences, and denominators below a measured crossover, scan
-the states one step at a time.
+u_k = u * (q1...q_k mod v) mod v with u a unit mod v.  It is found by a
+scan of the states, one step each.  On a list-backed Q with v >= 512, a
+scan that runs past (len(prefix) + L) * sqrt(v) steps, L the period
+length, hands over to a closed form with no step per state: a short walk uses up the prefix and the primes v shares with the
+period product, and then one baby-step giant-step table of at most
+sqrt(v) powers of the period product gives, for every pair of period
+phases, the first step at which they meet.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from .foundation import (
@@ -93,11 +95,17 @@ class BlockDescription:
             raise DomainError(f"block must start at position {want}, got {self.block.start}")
 
 
-# Below this denominator the scan of at most v steps is cheaper than
-# phase_search's fixed cost.  Measured crossovers (Python 3.11.7, shared
-# VM): about 400 on const:2 and const:10, 500 to 800 on periodic:2,3 and
-# 1000 to past 1500 on periodic:5,2,7, whose scans end early; the mean of
-# the four crosses between 512 and 768.
+# On a list-backed Q with v >= _SCAN_BELOW the scan hands over to
+# _phases.phase_search after (len(prefix) + L) * (isqrt(v) + 1) steps, L
+# the period length.  phase_search takes O((len(prefix) + L) * L * sqrt(v))
+# steps, so a recurrence the scan does not reach costs at most O(L) times
+# its n + m steps; with no prefix, phase_search measured 1.5 to 3 times the
+# scan's budget (prime v from 10^3 to 10^6, L <= 3).  Below _SCAN_BELOW the
+# scan of at most v steps is cheaper than phase_search's fixed cost: the
+# measured crossovers (Python 3.11.7, shared VM) are about 400 on const:2
+# and const:10, 500 to 800 on periodic:2,3 and 1000 to past 1500 on
+# periodic:5,2,7, whose scans end early; the mean of the four crosses
+# between 512 and 768.
 _SCAN_BELOW = 512
 
 
@@ -105,24 +113,29 @@ def _recurrence(x: Fraction, Q: QSequence) -> tuple[int, int, int]:
     """(n, m, u_n) of the earliest recurrence u_n = u_{n+m} of reduced
     x = u/v, with u_k = q_k * u_{k-1} mod v.
 
-    As u_k = u * pi_k mod v with pi_k = q1...q_k mod v and u a unit mod v,
-    (n, m) depends on Q and v alone: a list-backed Q with v >= _SCAN_BELOW
-    takes _phases.phase_search.  Rule sequences, and smaller v, scan: the
-    first step at which each state appears is kept, up to the first state
-    seen twice, at step n + m <= v.
+    The scan keeps the first step at which each state appears, up to the
+    first state seen twice, at step n + m <= v.  As u_k = u * pi_k mod v
+    with pi_k = q1...q_k mod v and u a unit mod v, (n, m) depends on Q and
+    v alone: on a list-backed Q with v >= _SCAN_BELOW the scan stops after
+    (len(prefix) + L) * (isqrt(v) + 1) steps, L the period length, and
+    _phases.phase_search gives (n, m).  The cost is O(n + m) steps, and
+    O((len(prefix) + L) * L * sqrt(v)) when the scan stops.  Rule
+    sequences, and smaller v, scan to the end.
     """
     u, v = x.numerator, x.denominator
+    qs = iter_bases(Q)
     if isinstance(Q, ListBacked) and v >= _SCAN_BELOW:
-        from ._phases import phase_search
-
-        n, m = phase_search(Q, v)
-        return n, m, u * _base_product_mod(Q, 1, n, v) % v
+        qs = itertools.islice(qs, (len(Q.prefix) + len(Q.period)) * (math.isqrt(v) + 1))
     first_seen = {u: 0}
-    for k, q in enumerate(iter_bases(Q), 1):
+    for k, q in enumerate(qs, 1):
         u = q * u % v
         n = first_seen.setdefault(u, k)
         if n < k:
             return n, k - n, u
+    from ._phases import phase_search  # the budgeted scan met no repeat
+
+    n, m = phase_search(Q, v)
+    return n, m, x.numerator * _base_product_mod(Q, 1, n, v) % v
 
 
 def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
@@ -132,11 +145,13 @@ def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
     u_k = q_k * u_{k-1} mod v, at most v distinct ones, so a recurrence
     sigma^n(x) = sigma^{n+m}(x) appears with n + m <= v.  The returned pair
     is the first one, the least n + m, which makes the output canonical
-    even though any later recurrence would certify too.  On a list-backed
-    Q with v >= _SCAN_BELOW it comes from a closed form: a walk of at most
+    even though any later recurrence would certify too.  It comes from a
+    scan of n + m steps; on a list-backed Q with v >= _SCAN_BELOW, a scan
+    that reaches (len(prefix) + L) * (isqrt(v) + 1) steps, L the period
+    length, stops there for a closed form: a walk of at most
     len(prefix) + L * bits(v) steps and at most (len(prefix) + L) * L
-    discrete logs over one baby-step table of ceil(sqrt(v)) entries, L the
-    period length; otherwise from a scan of n + m steps.  sigma_value is
+    discrete logs over one baby-step table of at most ceil(sqrt(v))
+    entries.  Either way the cost is O(L * (n + m)).  sigma_value is
     then (u * (q1...q_n mod v) mod v)/v, and the block product is built in
     closed form: one past base_product's size bound raises DomainError.
     """

@@ -18,6 +18,7 @@ from .foundation import (
     ListBacked,
     QSequence,
     Rational,
+    _base_product_mod,
     _check_count,
     _check_int,
     _record,
@@ -153,12 +154,12 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     n0; divisibility is monotone in k.  For list-backed sequences k = top =
     len(prefix) + len(period) * bits(r) settles it: a prime of r that
     divides the period product needs at most bits(r) periods after the
-    prefix.  Closed-form products at k = 1, 2, 4, ... (capped at top), then
-    a bisection of the last doubling, find n0 from O(log n0) products of at
-    most 2 * n0 bases, each under base_product's size bound (past it,
-    DomainError).  On rule:odd every base is odd, so an even r is a
-    "no"; an odd r runs the residual chain r_k = r_{k-1} / gcd(r_{k-1}, q_k)
-    until r_k = 1 or `bound` positions, and reports undecided past it.
+    prefix.  Closed-form products mod r at k = 1, 2, 4, ... (capped at
+    top), then a bisection of the last doubling, find n0 from O(log n0)
+    residues; no product is built.  On rule:odd every base is odd, so an
+    even r is a "no"; an odd r runs the residual chain
+    r_k = r_{k-1} / gcd(r_{k-1}, q_k) until r_k = 1 or `bound` positions,
+    and reports undecided past it.
     """
     x = _unit_value(x)
     if x == 0:
@@ -169,13 +170,13 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     if isinstance(Q, ListBacked):
         top = len(Q.prefix) + len(Q.period) * r.bit_length()
         lo, hi = 0, 1  # r >= 2 does not divide the empty product
-        while base_product(Q, 1, hi) % r:
+        while _base_product_mod(Q, 1, hi, r):
             if hi >= top:
                 return DualRepresentationReport("no")
             lo, hi = hi, min(2 * hi, top)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if base_product(Q, 1, mid) % r:
+            if _base_product_mod(Q, 1, mid, r):
                 lo = mid
             else:
                 hi = mid

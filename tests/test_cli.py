@@ -273,17 +273,21 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
 
 def test_phase_search_is_loaded_only_when_a_certificate_needs_it():
     # a cold call pays for compiling _phases only when it certifies a
-    # list-backed value with v >= 512: below that the scan is cheaper
+    # list-backed value with v >= 512 whose recurrence the scan does not
+    # meet within its budget of about sqrt(v) steps: 1/7 (v < 512) and
+    # 1/(2 * 6**40 - 1) on periodic:2,3 (m = 81) do not load it, 1/1019 on
+    # const:10 (m = 1018) does
     probe = (
         "import sys, cantorseries.cli\n"
         "from fractions import Fraction\n"
-        "from cantorseries import Constant, certify_rational\n"
+        "from cantorseries import Constant, Periodic, certify_rational\n"
         "loaded = lambda: 'cantorseries._phases' in sys.modules\n"
         "seen = [loaded()]; certify_rational(Fraction(1, 7), Constant(10)); seen.append(loaded())\n"
+        "certify_rational(Fraction(1, 2 * 6**40 - 1), Periodic((2, 3))); seen.append(loaded())\n"
         "certify_rational(Fraction(1, 1019), Constant(10)); print(seen + [loaded()])"
     )
     done = run_child(["-S", "-c", probe])
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, True]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False, True]\n", "")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="sizes the cap from /proc/self/status")
@@ -334,7 +338,7 @@ def test_readme_examples_print_the_documented_line(capsys, argv, expected):
 
 
 # --- fuzz of the --q and --x grammars -----------------------------------------------
-# Integers stay small: certify is O(v) in the denominator and fixed-points
+# Integers stay small: certify on rule:odd scans up to v states and fixed-points
 # lists q candidates.  Counts, verify --m on every sequence among them, also
 # come past sys.maxsize, where they cannot be materialised.
 

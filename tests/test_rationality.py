@@ -266,6 +266,23 @@ def test_recurrence_of_a_ten_digit_prime_is_fast():
     assert time.perf_counter() - began < 2.0
 
 
+@pytest.mark.parametrize(
+    "prefix,period,v",
+    [((), (2, 3), 2 * 6**40 - 1), ((3,), (10,), 3 * 10**30 - 1)],
+)
+def test_short_recurrence_at_a_large_denominator_is_fast(prefix, period, v):
+    # pi_81 = 2 * 6**40 = 1 and pi_31 = 3 * 10**30 = 1 (mod v): the scan
+    # meets them long before its sqrt(v) budget, where phase_search's table
+    # would grow toward sqrt(v) entries unless the period product has a
+    # small order mod v
+    Q, x = _list_backed(prefix, period), Fraction(1, v)
+    began = time.perf_counter()
+    cert, desc = certify_rational(x, Q), block_description(x, Q)
+    assert time.perf_counter() - began < 2.0
+    assert (cert.n, cert.m, cert.sigma_value) == oracle_first_repeat(x, prefix, period)
+    assert (len(desc.preperiod), len(desc.block)) == (cert.n, cert.m)
+
+
 def test_certificates_whose_block_product_passes_the_size_bound_are_domain_errors():
     # (n, m) = (0, 10**9 + 6) takes milliseconds; 10**m would take hours
     began = time.perf_counter()

@@ -55,6 +55,12 @@ def test_dual_no_when_residual_coprime_to_period():
     assert dual_representation(Fraction(1, 3), D10).decision == "no"
 
 
+def test_dual_search_builds_no_product():
+    # the search tests k = 1, 2, 4, 8, 12 mod r; q1...q4 alone would have
+    # 4 * (2**20 + 1) bits, past base_product's size bound
+    assert dual_representation(Fraction(1, 3 << 10), Constant(2**2**20)).decision == "no"
+
+
 def test_dual_minimal_n0():
     # 1/8 over base 10 needs 10*10*10 before 8 divides the prefix product... not:
     # 8 | 10^3 = 1000, and 8 does not divide 10 or 100, so n0 = 3.
