@@ -253,26 +253,29 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, 
 _MAX_PRODUCT_BITS = 1 << 22
 
 
+def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int, int]:
+    """_product_split(Q, lo, hi), or DomainError for a range past sys.maxsize
+    and, before any multiply, for a product whose bit length bound passes
+    _MAX_PRODUCT_BITS: cycles * bits(period product) for the whole periods
+    of a list-backed range, count * bits(q_hi) for a rule's rising bases."""
+    factors, size, whole, cycles = split = _product_split(Q, lo, hi)
+    _check_count(hi - lo + 1)
+    bits = cycles * whole.bit_length() if isinstance(Q, ListBacked) else size * RULE_CATALOG[Q.rule_id](hi).bit_length()
+    if bits > _MAX_PRODUCT_BITS:
+        raise DomainError(f"product of bases {lo}..{hi} would exceed {_MAX_PRODUCT_BITS} bits")
+    return split
+
+
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
     """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
 
     For list-backed sequences only the prefix part and one partial period
     are multiplied out; the whole periods in between are one power.  More
     than _RUN other factors go in runs merged by _merge_runs, so m rule
-    bases cost O(M(m) log m).  A range past sys.maxsize raises DomainError,
-    and so does, before any multiply, a product whose size estimate passes
-    _MAX_PRODUCT_BITS: cycles * bits(period product) for the whole periods
-    of a list-backed range, count * bits(q_hi) for a rule range (its bases
-    increase).  Both are upper bounds on the bit length of what they size.
+    bases cost O(M(m) log m).  A range or product too large for
+    _sized_split raises DomainError before any multiply.
     """
-    factors, size, whole, cycles = _product_split(Q, lo, hi)
-    _check_count(hi - lo + 1)
-    if isinstance(Q, ListBacked):
-        bits = cycles * whole.bit_length()
-    else:
-        bits = size * RULE_CATALOG[Q.rule_id](hi).bit_length()
-    if bits > _MAX_PRODUCT_BITS:
-        raise DomainError(f"product of bases {lo}..{hi} would exceed {_MAX_PRODUCT_BITS} bits")
+    factors, size, whole, cycles = _sized_split(Q, lo, hi)
     if size <= _RUN:
         return math.prod(factors) * whole**cycles
     runs = ((0, math.prod(itertools.islice(factors, _RUN))) for _ in range(0, size, _RUN))

@@ -30,6 +30,7 @@ from .foundation import (
     Rational,
     _base_product_mod,
     _record,
+    _sized_split,
     _unchecked,
     base_product,
     iter_bases,
@@ -212,10 +213,12 @@ def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
     """Eventually-recurring digit description of x.
 
     The recurrence (n, m) is certify_rational's, found the same way, and
-    the digits are expand(x, Q, n + m) split at n.
+    the digits are expand(x, Q, n + m) split at n.  A block product that
+    certify_rational refuses raises its DomainError before any expansion.
     """
     x = _unit_value(x)
     n, m, _ = _recurrence(x, Q)
+    _sized_split(Q, n + 1, n + m)
     digits = expand(x, Q, n + m)[0].digits
     return BlockDescription(_unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
 

@@ -9,7 +9,6 @@ chosen breakpoints regroup into a coarser Cantor series.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .foundation import (
 from .expansion import (
     DigitWord,
     _positional,
+    _residues,
     _unit_value,
     evaluate_finite,
     expand,
@@ -151,54 +151,45 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     """Decide whether reduced p/r in (0, 1) has two representations.
 
     It does exactly when r divides some q1...q_k, the least such k being
-    n0; divisibility is monotone in k.  For list-backed sequences k = top =
-    len(prefix) + len(period) * bits(r) settles it: a prime of r that
-    divides the period product needs at most bits(r) periods after the
-    prefix.  Closed-form products mod r at k = 1, 2, 4, ... (capped at
-    top), then a bisection of the last doubling, find n0 from O(log n0)
-    residues; no product is built.  On rule:odd every base is odd, so an
-    even r is a "no"; an odd r runs the residual chain
-    r_k = r_{k-1} / gcd(r_{k-1}, q_k) until r_k = 1 or `bound` positions,
-    and reports undecided past it.
+    n0; divisibility is monotone in k.  The residue q1...q_k mod r is tested
+    at k = 1, 2, 4, ... up to `top`, then the last doubling is bisected;
+    each test extends the residue at the last failing k by one
+    _base_product_mod, so no range is walked twice and no product is built.
+    For list-backed Q, top = len(prefix) + len(period) * bits(r) settles it
+    (a prime of r dividing the period product needs at most bits(r) periods
+    past the prefix): a residue there is a "no".  Every base of rule:odd is
+    odd, so an even r is a "no"; for an odd r, top = `bound`, a residue
+    there is "undecided", and the cost is O(min(n0, bound)) small multiplies.
     """
     x = _unit_value(x)
     if x == 0:
         raise DomainError("dual representation is defined on (0, 1), got 0")
     _check_int(bound, 1, "search bound")
     r = x.denominator
-
     if isinstance(Q, ListBacked):
-        top = len(Q.prefix) + len(Q.period) * r.bit_length()
-        lo, hi = 0, 1  # r >= 2 does not divide the empty product
-        while _base_product_mod(Q, 1, hi, r):
-            if hi >= top:
-                return DualRepresentationReport("no")
-            lo, hi = hi, min(2 * hi, top)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _base_product_mod(Q, 1, mid, r):
-                lo = mid
-            else:
-                hi = mid
-        n0 = hi
-    elif r % 2 == 0:
-        return DualRepresentationReport("no")
+        top, exhausted = len(Q.prefix) + len(Q.period) * r.bit_length(), DualRepresentationReport("no")
+    elif r % 2:
+        top, exhausted = bound, DualRepresentationReport("undecided", bound=bound)
     else:
-        residual = r
-        for n0, q in enumerate(iter_bases(Q), 1):
-            residual //= math.gcd(residual, q)
-            if residual == 1:
-                break
-            if n0 >= bound:
-                return DualRepresentationReport("undecided", bound=bound)
+        return DualRepresentationReport("no")
+
+    lo, hi, head = 0, 1, 1  # head = q1...q_lo mod r; r >= 2 does not divide the empty product
+    while residue := head * _base_product_mod(Q, lo + 1, hi, r) % r:
+        if hi >= top:
+            return exhausted
+        lo, hi, head = hi, min(2 * hi, top), residue
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if residue := head * _base_product_mod(Q, lo + 1, mid, r) % r:
+            lo, head = mid, residue
+        else:
+            hi = mid
+    n0 = hi
 
     word, state = expand(x, Q, n0)
-    if state.value != 0:
-        raise AssertionError("divisibility test and greedy expansion disagree on termination")
-    cof = convert_dual(word, Q)
-    if evaluate_finite(word, Q) != x or cofinite_value(cof, Q) != x:
-        raise AssertionError("materialised dual forms do not evaluate back to the input")
-    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=cof)
+    if state.value != 0 or evaluate_finite(word, Q) != x:
+        raise AssertionError("divisibility test and greedy expansion disagree on the n0 digits")
+    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=convert_dual(word, Q))
 
 
 @_record
@@ -228,21 +219,23 @@ def shift_constant_check(
 ) -> ShiftConstantReport:
     """Check e_n/(q_n - 1) = sigma^{n0}(x) for n0 < n <= n0 + horizon.
 
-    Block descriptions are reconstructed to their exact value first.  For a
-    list-backed Q the pair (shift state, position in period) recurs within
-    denominator * period steps, so a clean window of that length decides the
-    property for all n; shorter clean windows are reported as inconclusive,
-    while any failing window is conclusive by counterexample.
+    Block descriptions are reconstructed to their exact value first.  The
+    window steps its `horizon` bases from sigma^{n0}(x), one modular power
+    by shift_value, so it costs O(horizon) for any n0; one ending past
+    sys.maxsize raises DomainError.  For a list-backed Q the pair (shift
+    state, position in period) recurs within denominator * period steps, so
+    a clean window of that length decides the property for all n; shorter
+    clean windows are reported as inconclusive, while any failing window is
+    conclusive by counterexample.
     """
-    if isinstance(x, BlockDescription):
-        x = reconstruct(x, Q)
-    x = _unit_value(x)
+    x = _unit_value(reconstruct(x, Q) if isinstance(x, BlockDescription) else x)
     _check_int(n0, 0, "window start")
-    _check_int(horizon, 1, "window length")
+    _check_count(_check_int(horizon, 1, "window length") + n0)
 
-    word, _ = expand(x, Q, n0 + horizon)
     target = shift_value(x, Q, n0)
-    witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), word.digits[n0:], iter_bases(Q, n0 + 1)))
+    qs = bases(Q, horizon, n0 + 1)
+    digits = (e for e, _ in _residues(target.numerator, target.denominator, qs))
+    witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
     holds = all(Fraction(e, q - 1) == target for _, e, q in witnesses)
     conclusive = not holds or (
         isinstance(Q, ListBacked) and horizon >= max(n0, len(Q.prefix)) - n0 + x.denominator * len(Q.period)

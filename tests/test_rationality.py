@@ -212,6 +212,18 @@ def test_verify_rejects_list_backed_blocks_too_long_to_build_without_raising():
         assert verify_certificate(Fraction(1, 3), D10, cert) == CertificateCheck(False, "invalid_fields", False, False)
 
 
+def test_block_description_refuses_what_certify_refuses_at_once():
+    # (n, m) = (0, 10^9 + 6) is found in milliseconds; its digits would fill gigabytes
+    x = Fraction(1, 10**9 + 7)
+    with pytest.raises(DomainError, match="bits") as refused:
+        certify_rational(x, D10)
+    began = time.perf_counter()
+    with pytest.raises(DomainError) as described:
+        block_description(x, D10)
+    assert time.perf_counter() - began < 2.0
+    assert str(described.value) == str(refused.value)
+
+
 def test_verify_far_certificate_on_list_backed_sequence_still_checks():
     cert = RationalityCertificate(10**20, 1, Fraction(1, 3), 10)
     assert verify_certificate(Fraction(1, 3), D10, cert).ok

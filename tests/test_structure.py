@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cantorseries import (
     Constant,
     DigitWord,
     DomainError,
+    DualRepresentationReport,
     Periodic,
     PrefixPeriodic,
     Rule,
@@ -27,6 +29,7 @@ from cantorseries import (
     shift_value,
     tail_min,
 )
+from helpers import oracle_dual_chain
 
 ODD = Rule("odd")
 P23 = Periodic((2, 3))
@@ -89,6 +92,25 @@ def test_dual_rule_odd_decides_odd_denominators():
 def test_dual_undecided_when_bound_too_small():
     report = dual_representation(Fraction(1, 9), ODD, bound=1)
     assert (report.decision, report.bound) == ("undecided", 1)
+
+
+@pytest.mark.parametrize("r,n0", [(4001, 2000), (3**40, 79)])
+def test_dual_rule_odd_search_stops_at_the_bound(r, n0):
+    # 4001 first divides q_2000 = 4001; 3^40 collects its threes over many bases
+    x = Fraction(1, r)
+    for bound in (n0 - 1, n0, n0 + 1):
+        report = dual_representation(x, ODD, bound)
+        decision, want_n0 = oracle_dual_chain(x, ODD, bound)
+        assert (report.decision, report.n0) == (decision, want_n0)
+        assert report.bound == (bound if decision == "undecided" else None)
+    assert dual_representation(x, ODD, n0 - 1).decision == "undecided"
+    assert dual_representation(x, ODD, n0).n0 == n0
+
+
+def test_dual_rule_odd_even_twin_is_no():
+    x = Fraction(1, 2 * 4001)
+    assert oracle_dual_chain(x, ODD, 10000) == ("no", None)
+    assert dual_representation(x, ODD) == dual_representation(x, ODD, 1) == DualRepresentationReport("no")
 
 
 def test_dual_domain_checks():
@@ -225,6 +247,19 @@ def test_shift_constant_conclusive_window_for_list_kinds():
     assert short.holds and not short.conclusive
     full = shift_constant_check(x, P23, 2, needed)
     assert full.holds and full.conclusive
+
+
+def test_shift_constant_far_window_steps_only_its_horizon():
+    # 10 has order 6 mod 7 and 10^12 = 4 (mod 6): the window after 10^12
+    # steps carries the digits and bases of the window after 4
+    began = time.perf_counter()
+    far = shift_constant_check(Fraction(1, 7), D10, 10**12, 6)
+    assert time.perf_counter() - began < 1.0
+    near = shift_constant_check(Fraction(1, 7), D10, 4, 6)
+    assert [w[1] for w in near.ratio_witnesses] == list(expand(Fraction(1, 7), D10, 10)[0].digits[4:])
+    assert [w[1:] for w in far.ratio_witnesses] == [w[1:] for w in near.ratio_witnesses]
+    assert [w[0] for w in far.ratio_witnesses] == list(range(10**12 + 1, 10**12 + 7))
+    assert (far.holds, far.constant, far.conclusive) == (near.holds, near.constant, near.conclusive)
 
 
 def test_shift_constant_argument_checks():
