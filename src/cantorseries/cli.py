@@ -26,7 +26,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .foundation import DomainError, ParseError, QSequence, base_product, parse_qseq
+from .foundation import DomainError, ParseError, QSequence, _parse_int, _parse_ints, base_product, parse_qseq
 from .expansion import DigitWord, enclosure, evaluate_finite, expand, shift_value
 from .rationality import (
     BlockDescription,
@@ -66,13 +66,10 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_digit_list(text: str, what: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ParseError(f"bad integer in {what} list: {text!r}") from None
+def integer(text: str) -> int:
+    """The argparse type of the integer flags; argparse names it in the
+    message for a bad value ("invalid integer value")."""
+    return _parse_int(text, "integer")
 
 
 def parse_number_spec(text: str) -> tuple[str, Any]:
@@ -85,29 +82,21 @@ def parse_number_spec(text: str) -> tuple[str, Any]:
         num_text, slash, den_text = rest.partition("/")
         if not slash:
             raise ParseError(f"rational form is rat:<num>/<den>, got {text!r}")
-        try:
-            num, den = int(num_text), int(den_text)
-        except ValueError:
-            raise ParseError(f"bad integer in rational {text!r}") from None
+        num, den = _parse_int(num_text, "rational"), _parse_int(den_text, "rational")
         if den <= 0:
             raise ParseError(f"rational denominator must be positive, got {den}")
         return "rat", Fraction(num, den)
     if head == "digits":
-        return "digits", DigitWord(_parse_digit_list(rest, "digit"))
+        return "digits", DigitWord(_parse_ints(rest, "digit") if rest else ())
     if head == "block":
         pre_text, bar, block_text = rest.partition("|")
         if not bar:
             raise ParseError(f"block form is block:<pre|block>, got {text!r}")
-        pre = _parse_digit_list(pre_text, "preperiod")
-        blk = _parse_digit_list(block_text, "block")
-        if not blk:
-            raise ParseError("block form needs at least one block digit")
+        pre = _parse_ints(pre_text, "preperiod") if pre_text else ()
+        blk = _parse_ints(block_text, "block")
         return "block", BlockDescription(DigitWord(pre), DigitWord(blk, start=len(pre) + 1))
     if head == "cofinite":
-        head_digits = _parse_digit_list(rest, "cofinite head")
-        if not head_digits:
-            raise ParseError("cofinite form needs at least one head digit")
-        return "cofinite", head_digits
+        return "cofinite", _parse_ints(rest, "cofinite head")
     raise ParseError(f"unknown number form {head!r}")
 
 
@@ -254,11 +243,7 @@ def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
     # regroup evaluates a digit word itself, after the breakpoints parse, so a
     # bad breakpoint list stays a parse error even when the word is invalid
     x = payload if form == "digits" else _value_of(form, payload, Q)
-    try:
-        bps = tuple(int(tok) for tok in args.breakpoints.split(","))
-    except ValueError:
-        raise ParseError(f"bad breakpoint list {args.breakpoints!r}") from None
-    new_bases, word, report = regroup(x, Q, bps, count=args.blocks)
+    new_bases, word, report = regroup(x, Q, _parse_ints(args.breakpoints, "breakpoint"), count=args.blocks)
     return {
         "bases": list(new_bases),
         "digits": list(word.digits),
@@ -277,26 +262,26 @@ _COMMANDS = {
     "expand": (
         _cmd_expand,
         "digits of x by the shift operator",
-        [_X, ("--count", dict(required=True, type=int, metavar="N"))],
+        [_X, ("--count", dict(required=True, type=integer, metavar="N"))],
     ),
     "eval": (_cmd_eval, "exact value of a number description", [_X]),
     "certify": (_cmd_certify, "earliest shift-state recurrence of a rational", [_X]),
     "verify": (
         _cmd_verify,
         "re-check a recurrence pair (n, m)",
-        [_X, ("--n", dict(required=True, type=int)), ("--m", dict(required=True, type=int))],
+        [_X, ("--n", dict(required=True, type=integer)), ("--m", dict(required=True, type=integer))],
     ),
     "reconstruct": (_cmd_reconstruct, "value of a preperiod plus recurring block", [_X]),
     "dual": (
         _cmd_dual,
         "decide the trailing-maximum twin representation",
-        [_X, ("--bound", dict(type=int, default=10000, help="search cap for rule sequences (default 10000)"))],
+        [_X, ("--bound", dict(type=integer, default=10000, help="search cap for rule sequences (default 10000)"))],
     ),
     "convert": (_cmd_convert, "switch between finite and trailing-maximum forms", [_X]),
     "shift-const": (
         _cmd_shift_const,
         "check digit ratios for shift-value constancy",
-        [_X, ("--n0", dict(type=int, default=0)), ("--horizon", dict(type=int, default=50))],
+        [_X, ("--n0", dict(type=integer, default=0)), ("--horizon", dict(type=integer, default=50))],
     ),
     "fixed-points": (_cmd_fixed_points, "values fixed by every shift", []),
     "regroup": (
@@ -305,7 +290,7 @@ _COMMANDS = {
         [
             _X,
             ("--breakpoints", dict(required=True, metavar="N1,N2,...")),
-            ("--blocks", dict(type=int, help="number of blocks (default: all breakpoints)")),
+            ("--blocks", dict(type=integer, help="number of blocks (default: all breakpoints)")),
         ],
     ),
 }

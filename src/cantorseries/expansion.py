@@ -132,8 +132,7 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     Emits the digit floor(q * value) and the next exact state; the digit is
     always in {0, ..., q-1} and the next value stays in [0, 1).
     """
-    if q < 2:
-        raise DomainError(f"shift base must be >= 2, got {q}")
+    _check_int(q, 2, "shift base")
     value = _unit_value(state.value, "shift value")
     scaled = q * value
     digit = math.floor(scaled)

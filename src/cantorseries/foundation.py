@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -143,34 +143,31 @@ def PrefixPeriodic(prefix: Sequence[int], period: Sequence[int]) -> ListBacked:
     return ListBacked(prefix, period)
 
 
+# The one rule sequence, "odd": q_k = 2k + 1, giving 3, 5, 7, ...
+# structure relies on three of its facts: the bases increase (the tail
+# minimum is the next base), every base is odd (no even denominator divides
+# a base product), and q_1 - 1 = 2 divides every q_k - 1 = 2k (every
+# fixed-point candidate is a member).  _base_product_mod uses a fourth:
+# q_{k+v} = q_k + 2v.
 @_record
 class Rule:
-    """Bases given by a closed-form rule from the fixed catalog."""
+    """Bases given by a closed-form rule; the one rule is "odd", q_k = 2k + 1."""
 
     rule_id: str
 
     def __post_init__(self) -> None:
-        if self.rule_id not in RULE_CATALOG:
-            raise DomainError(f"unknown rule {self.rule_id!r}; known rules: {sorted(RULE_CATALOG)}")
+        if self.rule_id != "odd":
+            raise DomainError(f"unknown rule {self.rule_id!r}; known rules: ['odd']")
 
 
 QSequence = ListBacked | Rule
-
-
-# The closed catalog of rule sequences: rule id -> k -> q_k.  Its one rule,
-# q_k = 2k + 1, gives 3, 5, 7, ...; structure relies on three of its facts:
-# the bases increase (the tail minimum is the next base), every base is odd
-# (no even denominator divides a base product), and q_1 - 1 = 2 divides
-# every q_k - 1 = 2k (every fixed-point candidate is a member).
-# _base_product_mod uses a fourth: q_{k+v} = q_k + 2v.
-RULE_CATALOG: dict[str, Callable[[int], int]] = {"odd": lambda k: 2 * k + 1}
 
 
 def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     """Endless iterator over the bases q_start, q_{start+1}, ..."""
     _check_int(start, 1, "base position")
     if isinstance(Q, Rule):
-        return map(RULE_CATALOG[Q.rule_id], itertools.count(start))
+        return itertools.count(2 * start + 1, 2)
     if not isinstance(Q, ListBacked):
         raise TypeError(f"not a QSequence: {Q!r}")
     pre, per = Q.prefix, Q.period
@@ -260,7 +257,7 @@ def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, in
     of a list-backed range, count * bits(q_hi) for a rule's rising bases."""
     factors, size, whole, cycles = split = _product_split(Q, lo, hi)
     _check_count(hi - lo + 1)
-    bits = cycles * whole.bit_length() if isinstance(Q, ListBacked) else size * RULE_CATALOG[Q.rule_id](hi).bit_length()
+    bits = cycles * whole.bit_length() if isinstance(Q, ListBacked) else size * (2 * hi + 1).bit_length()
     if bits > _MAX_PRODUCT_BITS:
         raise DomainError(f"product of bases {lo}..{hi} would exceed {_MAX_PRODUCT_BITS} bits")
     return split
@@ -308,16 +305,23 @@ def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
     return _product_mod(factors, modulus, pow(whole, cycles, modulus))
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_int(tok: str, what: str) -> int:
+    """The integer spelled by tok: an optional sign and ASCII digits, and
+    nothing else (no underscores, whitespace or other scripts' digits)."""
+    body = tok[1:] if tok[:1] in ("+", "-") else tok
+    if body.isascii() and body.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    raise ParseError(f"bad integer {tok!r} in {what}")
+
+
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; ParseError when it is empty."""
     if not text:
         raise ParseError(f"empty {what} list")
-    out = []
-    for tok in text.split(","):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"bad integer {tok!r} in {what} list") from None
-    return tuple(out)
+    return tuple(_parse_int(tok, f"{what} list") for tok in text.split(","))
 
 
 def parse_qseq(text: str) -> QSequence:
@@ -336,15 +340,15 @@ def parse_qseq(text: str) -> QSequence:
         raise ParseError(f"expected <kind>:<spec>, got {text!r}")
     try:
         if head == "const":
-            (b,) = _parse_int_list(rest, "const")
+            (b,) = _parse_ints(rest, "const")
             return Constant(b)
         if head == "periodic":
-            return Periodic(_parse_int_list(rest, "period"))
+            return Periodic(_parse_ints(rest, "period"))
         if head == "prefix":
             pre_text, semi, per_text = rest.partition(";")
             if not semi:
                 raise ParseError(f"prefix form needs <prefix;period>, got {text!r}")
-            return PrefixPeriodic(_parse_int_list(pre_text, "prefix"), _parse_int_list(per_text, "period"))
+            return PrefixPeriodic(_parse_ints(pre_text, "prefix"), _parse_ints(per_text, "period"))
         if head == "rule":
             return Rule(rest)
     except ValueError as exc:

@@ -164,7 +164,10 @@ def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
 def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertificate) -> CertificateCheck:
     """Re-derive a certificate's claims by direct exact recomputation.
 
-    Total: never raises.  Checks, in order, that the fields are in range,
+    Total in x and cert: any x and any cert, even one that is not a
+    RationalityCertificate, give a CertificateCheck.  A Q that is not a
+    QSequence raises TypeError, as everywhere else.  Checks, in order, that
+    cert is a RationalityCertificate whose fields are in range,
     that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the
     recorded shift value and block product match, and that the reduced
     denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
@@ -180,6 +183,10 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     min(n, v) small modular multiplies, as any v consecutive bases of
     rule:odd have the same product mod v.
     """
+    if not isinstance(Q, QSequence):
+        raise TypeError(f"not a QSequence: {Q!r}")
+    if not isinstance(cert, RationalityCertificate):
+        return CertificateCheck(False, "invalid_fields", False, False)
     n, m = cert.n, cert.m
     if any(not isinstance(f, int) or isinstance(f, bool) for f in (n, m)) or n < 0 or m < 1:
         return CertificateCheck(False, "invalid_fields", False, False)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -182,6 +183,10 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "expand", "--q", "periodic:1", "--x", "rat:0/1", "--count", "1")[0] == 1
     assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1-2", "--count", "1")[0] == 1
     assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1/0", "--count", "1")[0] == 1
+    assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1/\u0663", "--count", "1")[0] == 1
+    assert run_cli(capsys, "eval", "--q", "const:10", "--x", "digits:1_0")[0] == 1
+    assert run_cli(capsys, "regroup", "--q", "const:10", "--x", "rat:1/3", "--breakpoints", "2,4_0")[0] == 1
+    assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1/3", "--count", "\u0661\u0660")[0] == 1
 
 
 def test_domain_errors_exit_two(capsys):
@@ -335,6 +340,27 @@ def test_readme_has_one_json_example_per_verb():
 @pytest.mark.parametrize("argv,expected", readme_examples(), ids=[argv[0] for argv, _ in readme_examples()])
 def test_readme_examples_print_the_documented_line(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+def test_readme_quick_tour_gives_the_commented_values():
+    # Each expression statement of the ```python block ends in a comment
+    # naming its value; the other statements run as they stand.
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    source = text[start : text.index("```", start)]
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        expected = eval(comment, namespace)
+        assert (type(got), got) == (type(expected), expected), lines[stmt.lineno - 1]
+        checked.append(comment)
+    assert checked == ["Fraction(1, 2)", '"yes"', "False", "(6, 6, 6)"]
 
 
 # --- fuzz of the --q and --x grammars -----------------------------------------------

@@ -177,6 +177,8 @@ def test_values_must_be_int_or_fraction(x):
         lambda: shift_value(Fraction(1, 3), P23, 1.0),
         lambda: DigitWord((1,), start=1.0),
         lambda: DigitWord((1,), start=True),
+        lambda: shift_step(ShiftState(0, Fraction(1, 2)), 2.5),
+        lambda: shift_step(ShiftState(0, Fraction(1, 2)), "3"),
     ],
 )
 def test_counts_and_positions_must_be_integers(call):

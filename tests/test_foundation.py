@@ -65,6 +65,7 @@ def test_bases_and_product_helpers():
         lambda: Rule("squares"),
         lambda: Periodic((2.0, 3)),
         lambda: Constant(True),
+        lambda: Rule(["odd"]),
     ],
 )
 def test_constructors_reject_invalid_sequences(bad):
@@ -121,6 +122,8 @@ def test_parse_qseq(text, expected):
         "nonsense",
         "weird:2",
         "periodic:2,x",
+        "const:1_0",
+        "const:\u0661\u0660",
     ],
 )
 def test_parse_qseq_rejects(text):

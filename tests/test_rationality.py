@@ -99,10 +99,18 @@ def test_verify_rejects_wrong_fields_without_raising():
     ok_pair = certify_rational(Fraction(1, 3), D10)
     assert verify_certificate(Fraction(1, 3), D10, RationalityCertificate(-1, 1, Fraction(0), 1)).reason == "invalid_fields"
     assert verify_certificate(Fraction(3, 2), D10, ok_pair).reason == "value_out_of_range"
+    assert verify_certificate(Fraction(1, 3), D10, None).reason == "invalid_fields"
+    assert verify_certificate(Fraction(1, 3), D10, (0, 1, Fraction(1, 3), 10)).reason == "invalid_fields"
     wrong_sigma = RationalityCertificate(0, 1, Fraction(2, 3), 10)
     assert verify_certificate(Fraction(1, 3), D10, wrong_sigma).reason == "sigma_mismatch"
     wrong_product = RationalityCertificate(0, 1, Fraction(1, 3), 11)
     assert verify_certificate(Fraction(1, 3), D10, wrong_product).reason == "block_product_mismatch"
+
+
+@pytest.mark.parametrize("cert", [RationalityCertificate(0, 1, Fraction(1, 3), 10), None])
+def test_verify_rejects_a_non_sequence_with_type_error(cert):
+    with pytest.raises(TypeError, match="not a QSequence"):
+        verify_certificate(Fraction(1, 3), "const:10", cert)
 
 
 @pytest.mark.parametrize("n,m", [(1.5, 1), (0, 1.0), ("0", 1), (True, 1), (0, True)])
