@@ -26,11 +26,12 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .foundation import DomainError, ParseError, QSequence, _parse_int, _parse_ints, base_product, parse_qseq
-from .expansion import DigitWord, enclosure, evaluate_finite, expand, shift_value
+from .foundation import DomainError, ParseError, QSequence, _parse_int, _parse_ints, parse_qseq
+from .expansion import DigitWord, enclosure, evaluate_finite, expand
 from .rationality import (
     BlockDescription,
     RationalityCertificate,
+    _check_recurrence,
     certify_rational,
     reconstruct,
     verify_certificate,
@@ -145,11 +146,10 @@ def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any],
     x = _value_of(*parse_number_spec(args.x), Q)
     n, m = args.n, args.m
     if n >= 0 and m >= 1 and 0 <= x < 1:
-        cert = RationalityCertificate(n, m, shift_value(x, Q, n), base_product(Q, n + 1, n + m))
+        check = _check_recurrence(x, Q, n, m)  # a range or product too large to build is a domain error
     else:
         # degenerate pair: let the total checker report the reason
-        cert = RationalityCertificate(n, m, Fraction(0), 1)
-    check = verify_certificate(x, Q, cert)
+        check = verify_certificate(x, Q, RationalityCertificate(n, m, Fraction(0), 1))
     return {
         "ok": check.ok,
         "reason": check.reason,

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import ge
 
 from .foundation import (
     DomainError,
@@ -28,6 +29,7 @@ from .foundation import (
     _take,
     _unchecked,
     iter_bases,
+    q_at,
 )
 
 __all__ = [
@@ -81,7 +83,7 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
         x = Fraction(x)
     elif not isinstance(x, Fraction):
         raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
-    if not 0 <= x < 1:
+    if not 0 <= x.numerator < x.denominator:  # reduced, with a positive denominator
         raise DomainError(f"{what} must lie in [0, 1), got {x}")
     return x
 
@@ -121,9 +123,10 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1}."""
-    for k, (q, d) in enumerate(zip(iter_bases(Q, word.start), word.digits), word.start):
-        if d >= q:
-            raise DomainError(f"digit {d} at position {k} out of range for base {q}")
+    digits, start = word.digits, word.start
+    k = next(compress(range(start, start + len(digits)), map(ge, digits, iter_bases(Q, start))), None)
+    if k is not None:
+        raise DomainError(f"digit {digits[k - start]} at position {k} out of range for base {q_at(Q, k)}")
 
 
 def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:

@@ -40,9 +40,14 @@ class DomainError(ValueError):
     """An exact operation was applied outside its domain."""
 
 
+def _is_int(value: object) -> bool:
+    """Whether value is an int and not a bool; an exact int is tested first."""
+    return value.__class__ is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int(value: object, lowest: int, what: str) -> int:
     """Return value if it is an int (never a bool) >= lowest; else raise DomainError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < lowest:
+    if not _is_int(value) or value < lowest:
         raise DomainError(f"{what} must be an integer >= {lowest}, got {value!r}")
     return value
 
@@ -173,7 +178,8 @@ def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     pre, per = Q.prefix, Q.period
     if start <= len(pre):
         return itertools.chain(pre[start - 1 :], itertools.cycle(per))
-    return itertools.islice(itertools.cycle(per), (start - len(pre) - 1) % len(per), None)
+    phase = (start - len(pre) - 1) % len(per)
+    return itertools.cycle(per[phase:] + per[:phase])
 
 
 def _check_count(count: int) -> int:
@@ -224,23 +230,26 @@ def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     return tuple(_take(iter_bases(Q, start), _check_int(count, 0, "base count")))
 
 
-def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int, int]:
+def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int, int]:
     """q_lo * ... * q_hi as (factors, size, whole, cycles): the product of
-    the finite iterator `factors`, of `size` items, times whole ** cycles.
+    the sequence `factors`, of `size` items, times whole ** cycles.
 
-    For list-backed sequences `factors` holds only the prefix part and one
-    partial period, and whole is the product of a full period; rule
-    sequences yield every base as a factor.
+    For list-backed sequences `factors` is a tuple of the prefix part and
+    one partial period, sliced out, and whole is the product of a full
+    period; for rule sequences it is the range of every base.
     """
     count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
     if count <= 0:
-        return iter(()), 0, 1, 0
-    it = iter_bases(Q, lo)
+        return (), 0, 1, 0
     if isinstance(Q, Rule):
-        return _take(it, count), count, 1, 0
-    head = min(count, max(0, len(Q.prefix) - lo + 1))
-    cycles, rest = divmod(count - head, len(Q.period))
-    return _take(it, head + rest), head + rest, math.prod(Q.period), cycles
+        return range(2 * lo + 1, 2 * hi + 2, 2), _check_count(count), 1, 0
+    if not isinstance(Q, ListBacked):
+        raise TypeError(f"not a QSequence: {Q!r}")
+    pre, per = Q.prefix, Q.period
+    head = pre[lo - 1 : hi]
+    cycles, rest = divmod(count - len(head), len(per))
+    phase = (lo + len(head) - len(pre) - 1) % len(per)
+    return head + (per + per)[phase : phase + rest], len(head) + rest, math.prod(per), cycles
 
 
 # The largest product base_product builds: 2**22 bits (512 KiB, about 1.26
@@ -250,7 +259,7 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, 
 _MAX_PRODUCT_BITS = 1 << 22
 
 
-def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Iterator[int], int, int, int]:
+def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int, int]:
     """_product_split(Q, lo, hi), or DomainError for a range past sys.maxsize
     and, before any multiply, for a product whose bit length bound passes
     _MAX_PRODUCT_BITS: cycles * bits(period product) for the whole periods
@@ -275,7 +284,7 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
     factors, size, whole, cycles = _sized_split(Q, lo, hi)
     if size <= _RUN:
         return math.prod(factors) * whole**cycles
-    runs = ((0, math.prod(itertools.islice(factors, _RUN))) for _ in range(0, size, _RUN))
+    runs = ((0, math.prod(factors[i : i + _RUN])) for i in range(0, size, _RUN))
     return _merge_runs(runs)[1] * whole**cycles
 
 
@@ -298,9 +307,9 @@ def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
     factors, size, whole, cycles = _product_split(Q, lo, hi)
     if isinstance(Q, Rule):
         cycles, rest = divmod(size, modulus)
-        part = _product_mod(itertools.islice(factors, rest), modulus)
+        part = _product_mod(factors[:rest], modulus)
         # the run q_lo .. q_{lo+v-1}: those rest bases, then the next v - rest
-        whole = _product_mod(itertools.islice(factors, modulus - rest), modulus, part) if cycles else 1
+        whole = _product_mod(factors[rest:modulus], modulus, part) if cycles else 1
         return pow(whole, cycles, modulus) * part % modulus
     return _product_mod(factors, modulus, pow(whole, cycles, modulus))
 

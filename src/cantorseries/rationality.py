@@ -29,6 +29,7 @@ from .foundation import (
     QSequence,
     Rational,
     _base_product_mod,
+    _is_int,
     _record,
     _sized_split,
     _unchecked,
@@ -167,14 +168,14 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     Total in x and cert: any x and any cert, even one that is not a
     RationalityCertificate, give a CertificateCheck.  A Q that is not a
     QSequence raises TypeError, as everywhere else.  Checks, in order, that
-    cert is a RationalityCertificate whose fields are in range,
-    that x lies in [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the
-    recorded shift value and block product match, and that the reduced
-    denominator v divides q1...q_n * (P - 1).  Non-minimal certificates
-    pass: any valid recurrence certifies.  A range 1..n longer than
-    sys.maxsize on a rule sequence, or n+1..n+m longer than it on any
-    sequence or with a product past base_product's size bound, fails the
-    field check (invalid_fields).
+    cert is a RationalityCertificate with int n >= 0, m >= 1 and
+    block_product (never bools) and a Fraction sigma_value, that x lies in
+    [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the recorded shift value
+    and block product match, and that the reduced denominator v divides
+    q1...q_n * (P - 1).  Non-minimal certificates pass: any valid
+    recurrence certifies.  A range 1..n longer than sys.maxsize on a rule
+    sequence, or n+1..n+m longer than it on any sequence or with a product
+    past base_product's size bound, fails the field check (invalid_fields).
 
     No shift steps are walked.  With x = u_0/v and u_k = q_k * u_{k-1} mod v,
     u_n = u_0 * (q1...q_n mod v) mod v and u_{n+m} = u_n * P mod v, so the
@@ -187,30 +188,41 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
         raise TypeError(f"not a QSequence: {Q!r}")
     if not isinstance(cert, RationalityCertificate):
         return CertificateCheck(False, "invalid_fields", False, False)
-    n, m = cert.n, cert.m
-    if any(not isinstance(f, int) or isinstance(f, bool) for f in (n, m)) or n < 0 or m < 1:
+    n, m, sigma, product = cert.n, cert.m, cert.sigma_value, cert.block_product
+    if not (_is_int(n) and _is_int(m) and _is_int(product) and isinstance(sigma, Fraction)) or n < 0 or m < 1:
         return CertificateCheck(False, "invalid_fields", False, False)
     try:
         x = _unit_value(x)
     except DomainError:
         return CertificateCheck(False, "value_out_of_range", False, False)
-    v = x.denominator
     try:
-        head = _base_product_mod(Q, 1, n, v)
-        product = base_product(Q, n + 1, n + m)
+        return _check_recurrence(x, Q, n, m, cert)
     except DomainError:
         return CertificateCheck(False, "invalid_fields", False, False)
+
+
+def _check_recurrence(
+    x: Fraction, Q: QSequence, n: int, m: int, claim: RationalityCertificate | None = None
+) -> CertificateCheck:
+    """verify_certificate's check of sigma^n(x) = sigma^{n+m}(x) for x in
+    [0, 1), n >= 0 and m >= 1, with claim's shift value and block product
+    when given; it builds the block product once, and raises base_product's
+    DomainError for a range or product past its bounds."""
+    v = x.denominator
+    head = _base_product_mod(Q, 1, n, v)
+    product = base_product(Q, n + 1, n + m)
     u_n = x.numerator * head % v
     gap = (product - 1) % v
     recurrence_ok = u_n * gap % v == 0
     divisibility_ok = head * gap % v == 0
-    sigma_n = Fraction(u_n, v)
     if not recurrence_ok:
         return CertificateCheck(False, "recurrence_mismatch", False, divisibility_ok)
-    if cert.sigma_value != sigma_n:
-        return CertificateCheck(False, "sigma_mismatch", True, divisibility_ok)
-    if cert.block_product != product:
-        return CertificateCheck(False, "block_product_mismatch", True, divisibility_ok)
+    if claim is not None:
+        sigma = claim.sigma_value  # a Fraction, so it is u_n/v iff the cross products agree
+        if sigma.numerator * v != u_n * sigma.denominator:
+            return CertificateCheck(False, "sigma_mismatch", True, divisibility_ok)
+        if claim.block_product != product:
+            return CertificateCheck(False, "block_product_mismatch", True, divisibility_ok)
     if not divisibility_ok:
         return CertificateCheck(False, "divisibility_failed", True, False)
     return CertificateCheck(True, None, True, True)

@@ -162,10 +162,44 @@ def test_digit_word_validation():
         validate_digits(DigitWord((4,), start=1), parse_qseq("periodic:2,5"))
 
 
-@pytest.mark.parametrize("x", [0.1, 0.5, Decimal("0.5"), "1/3", False])
+def test_validate_digits_names_the_first_bad_position_and_its_base():
+    Q = parse_qseq("prefix:3,4;5,6")
+    with pytest.raises(DomainError) as bad:
+        validate_digits(DigitWord((3, 5, 0, 6, 9), start=2), Q)
+    assert str(bad.value) == "digit 5 at position 3 out of range for base 5"
+    with pytest.raises(DomainError) as bad:
+        validate_digits(DigitWord((0,) * 40 + (83, 99), start=1), ODD)
+    assert str(bad.value) == "digit 83 at position 41 out of range for base 83"
+    validate_digits(DigitWord((2, 3, 4, 5), start=1), Q)
+
+
+class Int(int):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, Decimal("0.5"), "1/3", False, True])
 def test_values_must_be_int_or_fraction(x):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as bad:
         expand(x, P23, 3)
+    assert str(bad.value) == f"value must be an int or a Fraction, got {x!r}"
+
+
+@pytest.mark.parametrize("x", [0, Int(0), Fraction(0), Fraction(6, 7), Ratio(6, 7), Fraction(76, 77)])
+def test_values_from_zero_to_just_below_one_pass(x):
+    assert expand(x, P23, 2)[1].value == shift_value(x, P23, 2)
+
+
+@pytest.mark.parametrize(
+    "x,text", [(1, "1"), (Int(1), "1"), (Fraction(1), "1"), (Fraction(-1, 7), "-1/7"), (Ratio(8, 7), "8/7")]
+)
+def test_values_outside_the_unit_interval_raise_one_message(x, text):
+    with pytest.raises(DomainError) as bad:
+        expand(x, P23, 2)
+    assert str(bad.value) == f"value must lie in [0, 1), got {text}"
 
 
 @pytest.mark.parametrize(
@@ -184,6 +218,17 @@ def test_values_must_be_int_or_fraction(x):
 def test_counts_and_positions_must_be_integers(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "2"])
+def test_counts_name_the_rejected_value(count):
+    with pytest.raises(DomainError) as bad:
+        expand(Fraction(1, 3), P23, count)
+    assert str(bad.value) == f"digit count must be an integer >= 1, got {count!r}"
+
+
+def test_counts_may_be_int_subclasses():
+    assert expand(Fraction(1, 3), P23, Int(2)) == expand(Fraction(1, 3), P23, 2)
 
 
 def test_digit_counts_too_large_to_materialise_are_domain_errors():

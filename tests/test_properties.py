@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cantorseries import (
     DigitWord,
+    Periodic,
+    PrefixPeriodic,
     RationalityCertificate,
     ShiftState,
     base_product,
@@ -31,7 +33,9 @@ from cantorseries import (
     verify_certificate,
 )
 from cantorseries.expansion import _positional
+from cantorseries.foundation import _base_product_mod
 from helpers import (
+    base_entries,
     dual_cases,
     oracle_certificate_check,
     oracle_digits,
@@ -55,6 +59,21 @@ def test_base_layer_matches_literal_list(spec, start, count):
     assert q_at(Q, start) == literal[start - 1]
     assert bases(Q, count, start) == tuple(window)
     assert base_product(Q, start, start + count - 1) == math.prod(window)
+
+
+@given(
+    st.lists(base_entries(), max_size=4).map(tuple),
+    st.lists(base_entries(), min_size=1, max_size=4).map(tuple),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=200),
+)
+def test_sliced_products_match_the_listed_bases(prefix, period, lo, count, v):
+    # lo falls inside the prefix, on its last base, or past it, at every period phase
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    want = math.prod(bases(Q, count, lo))
+    assert base_product(Q, lo, lo + count - 1) == want
+    assert _base_product_mod(Q, lo, lo + count - 1, v) == want % v
 
 
 # Lengths on both sides of every run and merge boundary of _positional

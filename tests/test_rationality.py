@@ -119,6 +119,20 @@ def test_verify_rejects_non_integer_fields_without_raising(n, m):
     assert verify_certificate(Fraction(1, 3), D10, cert).reason == "invalid_fields"
 
 
+@pytest.mark.parametrize(
+    "Q,cert",
+    [
+        (ODD, RationalityCertificate(0, 1, 0.5, 3.0)),  # every field as loose as != allowed
+        (ODD, RationalityCertificate(0, 1, Fraction(1, 2), True)),
+        (D10, RationalityCertificate(0, 1, 1 / 3, 10)),
+        (D10, RationalityCertificate(0, 1, "1/3", 10)),
+    ],
+)
+def test_verify_rejects_fields_of_the_wrong_type_without_raising(Q, cert):
+    x = Fraction(1, 2) if Q == ODD else Fraction(1, 3)
+    assert verify_certificate(x, Q, cert) == CertificateCheck(False, "invalid_fields", False, False)
+
+
 @pytest.mark.parametrize("Q,m", [(D10, 30010), (ODD, 184)])
 def test_reconstruct_long_block(Q, m):
     # Blocks many runs of 64 digits long, so the positional numerator is
