@@ -14,38 +14,20 @@ Output goes to stdout, plain lines by default or one JSON object with
 identical inputs.  Exit codes: 0 success, 1 usage or parse error, 2 domain
 error (also when memory runs out), 3 undecided outcome.
 
-`Any` in annotations is typing.Any.  Annotations stay unevaluated strings,
-so typing is not imported: a cold call does not pay for it.
+A cold call loads only what its verb uses: each handler imports its
+library module when it runs, a number spec loads the module of its own
+form, and `json` loads only under --json.  Annotations stay unevaluated
+strings, so typing is not imported either: `Any` in them is typing.Any and
+`Sequence` collections.abc.Sequence.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .foundation import DomainError, ParseError, QSequence, _parse_int, _parse_ints, parse_qseq
-from .expansion import DigitWord, enclosure, evaluate_finite, expand
-from .rationality import (
-    BlockDescription,
-    RationalityCertificate,
-    _check_recurrence,
-    certify_rational,
-    reconstruct,
-    verify_certificate,
-)
-from .structure import (
-    CofiniteExpansion,
-    cofinite_value,
-    convert_dual,
-    dual_representation,
-    fixed_points,
-    fold_cofinite,
-    regroup,
-    shift_constant_check,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,6 +70,7 @@ def parse_number_spec(text: str) -> tuple[str, Any]:
             raise ParseError(f"rational denominator must be positive, got {den}")
         return "rat", Fraction(num, den)
     if head == "digits":
+        from .expansion import DigitWord
         return "digits", DigitWord(_parse_ints(rest, "digit") if rest else ())
     if head == "block":
         pre_text, bar, block_text = rest.partition("|")
@@ -95,6 +78,8 @@ def parse_number_spec(text: str) -> tuple[str, Any]:
             raise ParseError(f"block form is block:<pre|block>, got {text!r}")
         pre = _parse_ints(pre_text, "preperiod") if pre_text else ()
         blk = _parse_ints(block_text, "block")
+        from .expansion import DigitWord
+        from .rationality import BlockDescription
         return "block", BlockDescription(DigitWord(pre), DigitWord(blk, start=len(pre) + 1))
     if head == "cofinite":
         return "cofinite", _parse_ints(rest, "cofinite head")
@@ -105,15 +90,19 @@ def _value_of(form: str, payload: Any, Q: QSequence) -> Fraction:
     if form == "rat":
         return payload
     if form == "digits":
+        from .expansion import evaluate_finite
         return evaluate_finite(payload, Q)
     if form == "block":
+        from .rationality import reconstruct
         return reconstruct(payload, Q)
     if form == "cofinite":
+        from .structure import cofinite_value, fold_cofinite
         return cofinite_value(fold_cofinite(payload, Q), Q)
     raise AssertionError(form)
 
 
 def _cmd_expand(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .expansion import expand
     x = _value_of(*parse_number_spec(args.x), Q)
     word, state = expand(x, Q, args.count)
     return {"x": _frac(x), "digits": list(word.digits), "sigma": _frac(state.value), "step": state.step}, EXIT_OK
@@ -124,6 +113,7 @@ def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
     value = _value_of(form, payload, Q)
     report: dict[str, Any] = {"form": form, "value": _frac(value)}
     if form == "digits":
+        from .expansion import enclosure
         box = enclosure(payload, Q)
         report["low"] = _frac(box.low)
         report["high"] = _frac(box.high)
@@ -131,6 +121,7 @@ def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
 
 
 def _cmd_certify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .rationality import certify_rational, verify_certificate
     x = _value_of(*parse_number_spec(args.x), Q)
     cert = certify_rational(x, Q)
     return {
@@ -143,6 +134,7 @@ def _cmd_certify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
 
 
 def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .rationality import RationalityCertificate, _check_recurrence, verify_certificate
     x = _value_of(*parse_number_spec(args.x), Q)
     n, m = args.n, args.m
     if n >= 0 and m >= 1 and 0 <= x < 1:
@@ -159,6 +151,7 @@ def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any],
 
 
 def _cmd_reconstruct(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .rationality import reconstruct
     form, payload = parse_number_spec(args.x)
     if form != "block":
         raise DomainError("reconstruct expects --x in block:<pre|block> form")
@@ -171,6 +164,7 @@ def _cmd_reconstruct(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, 
 
 
 def _cmd_dual(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .structure import dual_representation
     x = _value_of(*parse_number_spec(args.x), Q)
     report = dual_representation(x, Q, bound=args.bound)
     out: dict[str, Any] = {"x": _frac(x), "decision": report.decision}
@@ -188,6 +182,8 @@ def _cmd_dual(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
 
 
 def _cmd_convert(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .expansion import DigitWord, evaluate_finite
+    from .structure import CofiniteExpansion, cofinite_value, convert_dual, fold_cofinite
     form, payload = parse_number_spec(args.x)
     if form == "digits":
         cof = convert_dual(payload, Q)
@@ -210,6 +206,7 @@ def _cmd_convert(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
 
 
 def _cmd_shift_const(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .structure import shift_constant_check
     x = _value_of(*parse_number_spec(args.x), Q)
     report = shift_constant_check(x, Q, n0=args.n0, horizon=args.horizon)
     return {
@@ -222,6 +219,7 @@ def _cmd_shift_const(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, 
 
 
 def _cmd_fixed_points(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .structure import fixed_points
     report = fixed_points(Q)
     return {
         "q": report.q,
@@ -239,6 +237,7 @@ def _cmd_fixed_points(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str,
 
 
 def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+    from .structure import regroup
     form, payload = parse_number_spec(args.x)
     # regroup evaluates a digit word itself, after the breakpoints parse, so a
     # bad breakpoint list stays a parse error even when the word is invalid
@@ -337,10 +336,21 @@ def _plain_scalar(value: Any) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Exact results such as block products can run past the default
-        # 4,300-digit limit on printing an int (Python 3.10.7+).
+    # Exact results such as block products can run past the default
+    # 4,300-digit limit on printing an int (Python 3.10.7+).  The limit is
+    # lifted for the call only: a caller's interpreter keeps its own.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -350,7 +360,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         Q = parse_qseq(args.q)
         report, code = _COMMANDS[args.verb][0](args, Q)
-        print(json.dumps(report) if args.json else _render_plain(report))
+        if args.json:
+            import json
+            print(json.dumps(report))
+        else:
+            print(_render_plain(report))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

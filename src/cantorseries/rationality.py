@@ -250,10 +250,12 @@ def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:
     sigma^n = N/(P - 1); the preperiod, worth H/D, then places it:
     x = H/D + sigma^n/D.  N = P - 1 exactly when every block digit is maximal.
     """
-    validate_digits(desc.preperiod, Q)
+    pre = desc.preperiod.digits
+    if pre:  # an empty preperiod is worth 0/1 and has no digit to check
+        validate_digits(desc.preperiod, Q)
     validate_digits(desc.block, Q)
     num, product = _positional(desc.block.digits, Q, desc.block.start)
     if num == product - 1:
         raise DomainError("all-maximal block describes the excluded endpoint value 1")
-    head, den = _positional(desc.preperiod.digits, Q, 1)
+    head, den = _positional(pre, Q, 1) if pre else (0, 1)
     return Fraction(head * (product - 1) + num, den * (product - 1))

@@ -5,6 +5,9 @@ has a second, trailing-maximum representation and how to convert between
 the two; when the shift values of a number are eventually constant; which
 numbers the shift operator fixes outright; and how digit blocks between
 chosen breakpoints regroup into a coarser Cantor series.
+
+`BlockDescription` in annotations is rationality.BlockDescription, which
+loads only when shift_constant_check is handed one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .expansion import (
     shift_value,
     validate_digits,
 )
-from .rationality import BlockDescription, reconstruct
 
 __all__ = [
     "CofiniteExpansion", "DualRepresentationReport", "FixedPointCandidate", "FixedPointReport", "RegroupBlock",
@@ -228,7 +230,11 @@ def shift_constant_check(
     clean windows are reported as inconclusive, while any failing window is
     conclusive by counterexample.
     """
-    x = _unit_value(reconstruct(x, Q) if isinstance(x, BlockDescription) else x)
+    if not isinstance(x, (int, Fraction)):  # rationality loads only for a BlockDescription
+        from .rationality import BlockDescription, reconstruct
+        if isinstance(x, BlockDescription):
+            x = reconstruct(x, Q)
+    x = _unit_value(x)
     _check_int(n0, 0, "window start")
     _check_count(_check_int(horizon, 1, "window length") + n0)
 

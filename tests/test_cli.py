@@ -229,13 +229,38 @@ def test_errors_go_to_stderr_not_stdout(capsys):
 
 def test_integers_past_the_default_int_to_str_limit(capsys):
     # const:10 recurs on 1/100003 after m = 50001 steps: the block product
-    # 10**50001 has more digits than Python prints by default.
+    # 10**50001 has more digits than Python prints by default.  The output
+    # is read as text: main lifts the limit for its own call only.
+    product = "1" + "0" * 50001
     code, plain, err = run_cli(capsys, "certify", "--q", "const:10", "--x", "rat:1/100003")
-    assert code == 0 and err == ""
-    code, report, err = run_json(capsys, "certify", "--q", "const:10", "--x", "rat:1/100003")
-    assert code == 0 and err == ""
-    assert report["block_product"] == 10 ** report["m"]
-    assert f"block_product: {report['block_product']}" in plain
+    assert (code, err) == (0, "")
+    assert "\nm: 50001\n" in plain and f"\nblock_product: {product}\n" in plain
+    code, out, err = run_cli(capsys, "certify", "--q", "const:10", "--x", "rat:1/100003", "--json")
+    assert (code, err) == (0, "")
+    assert '"m": 50001, ' in out and f'"block_product": {product}, ' in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7")
+def test_main_leaves_the_int_to_str_limit_as_it_found_it(capsys):
+    calls = [
+        (("certify", "--q", "const:10", "--x", "rat:1/100003"), 0),  # prints 10**50001
+        (("certify", "--q", "const:10"), 1),  # usage error: no --x
+        (("certify", "--q", "const:1x", "--x", "rat:1/7"), 1),  # parse error
+        (("certify", "--q", "const:10", "--x", "rat:3/2"), 2),  # domain error
+    ]
+    caller = sys.get_int_max_str_digits()
+    try:
+        for limit in (caller, 5000):
+            sys.set_int_max_str_digits(limit)
+            for argv, code in calls:
+                assert run_cli(capsys, *argv)[0] == code
+                assert sys.get_int_max_str_digits() == limit
+            with pytest.raises(SystemExit):
+                main(["--help"])
+            capsys.readouterr()
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(caller)
 
 
 @pytest.mark.parametrize(
@@ -284,6 +309,58 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     probe = "import sys, cantorseries.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     done = run_child(["-S", "-c", probe])
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_bare_package_import_loads_no_submodule():
+    # PEP 562: `import cantorseries`, and so `python -m cantorseries.cli`,
+    # compiles no library module; the first lookup of a submodule loads them
+    probe = (
+        "import sys, cantorseries\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('cantorseries.'))\n"
+        "print(loaded()); print(cantorseries.structure.__name__); print(loaded())"
+    )
+    done = run_child(["-S", "-c", probe])
+    modules = "['cantorseries.expansion', 'cantorseries.foundation', 'cantorseries.rationality', 'cantorseries.structure']"
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"[]\ncantorseries.structure\n{modules}\n", "")
+
+
+MODULE_DUNDERS = {
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__", "__package__", "__path__",
+    "__spec__",
+}
+LIBRARY = ("foundation", "expansion", "rationality", "structure")
+
+
+def test_package_surface_is_what_star_imports_of_the_four_modules_made():
+    modules = [getattr(cantorseries, stem) for stem in LIBRARY]
+    public = [name for module in modules for name in module.__all__]
+    assert cantorseries.__all__ == public and len(set(public)) == len(public) == 50
+    star: dict = {}
+    exec("from cantorseries import *", star)
+    del star["__builtins__"]
+    assert star == {name: getattr(module, name) for module in modules for name in module.__all__}
+    # bound as plain attributes: a lookup is a dict hit, not a __getattr__ call
+    assert set(public) <= set(vars(cantorseries)) and "__getattr__" not in vars(cantorseries)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cantorseries.nope
+    with pytest.raises(ImportError, match="cannot import name 'nope'"):
+        exec("from cantorseries import nope", {})
+
+
+@pytest.mark.parametrize("first", ["dir(cantorseries)", "cantorseries.nope"])
+def test_first_lookup_gives_the_namespace_an_eager_import_gave(first):
+    # dir() as the first lookup lists what the four star imports bound; an
+    # unknown name as the first lookup raises AttributeError and leaves the
+    # same namespace
+    probe = (
+        "import cantorseries\n"
+        f"try:\n    {first}\nexcept AttributeError as exc:\n    print(exc)\n"
+        "print(sorted(dir(cantorseries)))"
+    )
+    done = run_child(["-S", "-c", probe])
+    want = sorted(MODULE_DUNDERS | {"__all__", "__version__", *LIBRARY, *cantorseries.__all__})
+    lines = ["module 'cantorseries' has no attribute 'nope'"] if first == "cantorseries.nope" else []
+    assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, lines + [str(want)], "")
 
 
 def test_phase_search_is_loaded_only_when_a_certificate_needs_it():
@@ -350,6 +427,27 @@ def test_readme_has_one_json_example_per_verb():
 @pytest.mark.parametrize("argv,expected", readme_examples(), ids=[argv[0] for argv, _ in readme_examples()])
 def test_readme_examples_print_the_documented_line(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+
+
+# the library modules a README example loads, beyond foundation and expansion
+VERB_LOADS = {
+    "expand": set(), "eval": set(),
+    "certify": {"rationality"}, "verify": {"rationality"}, "reconstruct": {"rationality"},
+    "dual": {"structure"}, "convert": {"structure"}, "shift-const": {"structure"},
+    "fixed-points": {"structure"}, "regroup": {"structure"},
+}
+
+
+@pytest.mark.parametrize("mode", ["plain", "json"])
+@pytest.mark.parametrize("argv", [argv for argv, _ in readme_examples()], ids=[argv[0] for argv, _ in readme_examples()])
+def test_a_cold_call_loads_only_what_its_verb_uses(argv, mode):
+    # -X importtime names on stderr every module the call imports
+    argv = argv if mode == "json" else argv[:-1]
+    done = run_child(["-S", "-X", "importtime", "-m", "cantorseries.cli", *argv])
+    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    want = {f"cantorseries.{stem}" for stem in VERB_LOADS[argv[0]]} | ({"json"} if mode == "json" else set())
+    assert done.returncode == 0
+    assert loaded & {"cantorseries.rationality", "cantorseries.structure", "json"} == want
 
 
 def test_readme_quick_tour_gives_the_commented_values():
