@@ -110,6 +110,9 @@ def _cmd_expand(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any],
 
 def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     form, payload = parse_number_spec(args.x)
+    if form == "rat":  # the other forms evaluate into [0, 1); a rational is range-checked as in the library
+        from .expansion import _unit_value
+        payload = _unit_value(payload)
     value = _value_of(form, payload, Q)
     report: dict[str, Any] = {"form": form, "value": _frac(value)}
     if form == "digits":

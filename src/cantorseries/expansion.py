@@ -88,13 +88,34 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
     return x
 
 
-def _residues(u: int, v: int, bases: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Digits and states (e_k, u_k) of reduced u/v under the given bases:
-    e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on integers,
-    as sigma^k(u/v) = u_k/v.  Only the current state is held."""
-    for q in bases:
+def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """Digits e_1..e_m of reduced u/v under the given bases, and the last
+    state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
+    integers, as sigma^k(u/v) = u_k/v.
+
+    While v is wider than the product P of the next _RUN bases, one step
+    N, u_{k+r} = divmod(u_k * P, v) crosses them all (the partial-sum
+    identity above, applied to sigma^k(x)), and their digits are peeled off
+    N from the right: m/_RUN divisions of v-sized integers for m digits
+    instead of m.  One base at a time is cheaper, and taken, from the
+    first run as wide as v on, or from the start when bits(v) <= _RUN.
+    """
+    qs = iter(bases)
+    out: list[int] = []
+    while v.bit_length() > _RUN and (run := list(islice(qs, _RUN))):
+        if len(run) * max(run).bit_length() >= v.bit_length():
+            qs = chain(run, qs)
+            break
+        num, u = divmod(u * math.prod(run), v)
+        peeled = []
+        for q in reversed(run):
+            num, d = divmod(num, q)
+            peeled.append(d)
+        out += reversed(peeled)
+    for q in qs:
         d, u = divmod(q * u, v)
-        yield d, u
+        out.append(d)
+    return tuple(out), u
 
 
 def _fold(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -146,32 +167,11 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     """First `count` digits of x under Q, plus the exact final shift state.
 
     Digits follow the greedy floor rule, which picks the terminating (all
-    zero tail) representation whenever two exist.  On a reduced x = u/v the
-    shift values are u_k/v.  While v is wider than the product P of the
-    next _RUN bases, one step N, u_{k+r} = divmod(u_k * P, v) crosses them
-    all (the partial-sum identity above, applied to sigma^k(x)), and their
-    digits are peeled off N from the right: m/_RUN divisions of v-sized
-    integers for m digits instead of m.  From the first run as wide as v
-    on, or from the start for v of at most _RUN bits, it steps one base at
-    a time, which is then cheaper than peeling.
+    zero tail) representation whenever two exist; _digits makes them.
     """
     x = _unit_value(x)
-    u, v = x.numerator, x.denominator
-    qs = _take(iter_bases(Q), _check_int(count, 1, "digit count"))
-    out: list[int] = []
-    while v.bit_length() > _RUN and (run := list(islice(qs, _RUN))):
-        if len(run) * max(run).bit_length() >= v.bit_length():
-            qs = chain(run, qs)
-            break
-        num, u = divmod(u * math.prod(run), v)
-        peeled = []
-        for q in reversed(run):
-            num, d = divmod(num, q)
-            peeled.append(d)
-        out += reversed(peeled)
-    for d, u in _residues(u, v, qs):
-        out.append(d)
-    return _unchecked(DigitWord, tuple(out), 1), ShiftState(count, Fraction(u, v))
+    digits, u = _digits(x.numerator, x.denominator, _take(iter_bases(Q), _check_int(count, 1, "digit count")))
+    return _unchecked(DigitWord, digits, 1), ShiftState(count, Fraction(u, x.denominator))
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
@@ -195,8 +195,10 @@ def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftSt
     any point trivial.
     """
     x = _unit_value(x)
-    for k, (d, u) in enumerate(_residues(x.numerator, x.denominator, iter_bases(Q)), 1):
-        yield d, ShiftState(k, Fraction(u, x.denominator))
+    u, v = x.numerator, x.denominator
+    for k, q in enumerate(iter_bases(Q), 1):
+        (d,), u = _digits(u, v, (q,))
+        yield d, ShiftState(k, Fraction(u, v))
 
 
 def local_value(word: DigitWord, Q: QSequence) -> Fraction:

@@ -33,8 +33,8 @@ from .foundation import (
 )
 from .expansion import (
     DigitWord,
+    _digits,
     _positional,
-    _residues,
     _unit_value,
     evaluate_finite,
     expand,
@@ -240,7 +240,7 @@ def shift_constant_check(
 
     target = shift_value(x, Q, n0)
     qs = bases(Q, horizon, n0 + 1)
-    digits = (e for e, _ in _residues(target.numerator, target.denominator, qs))
+    digits, _ = _digits(target.numerator, target.denominator, qs)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
     holds = all(Fraction(e, q - 1) == target for _, e, q in witnesses)
     conclusive = not holds or (
@@ -360,10 +360,11 @@ def regroup(
     bases, the new digit word, and the block report.
 
     Each block is one shift step in the regrouped base: from the state
-    sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v).  The
-    cost is the block products plus one division per block; a last
-    breakpoint past sys.maxsize raises DomainError before any product, and
-    a block product past base_product's size bound before it is built.
+    sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v), which
+    _digits takes over the block products.  The cost is the block products
+    plus at most one division by v per block; a last breakpoint past
+    sys.maxsize raises DomainError before any product, and a block product
+    past base_product's size bound before it is built.
     """
     if callable(breakpoints):
         if count is None:
@@ -376,29 +377,21 @@ def regroup(
     if len(bps) < count:
         raise DomainError(f"need {count} breakpoints, got {len(bps)}")
     bps = bps[:count]
-    prev = 0
-    for nk in bps:
-        if isinstance(nk, bool) or not isinstance(nk, int) or nk <= prev:
-            raise DomainError(f"breakpoints must be strictly increasing positive integers, got {bps}")
-        prev = nk
+    if any(isinstance(nk, bool) or not isinstance(nk, int) or nk <= lo for lo, nk in zip((0,) + bps, bps)):
+        raise DomainError(f"breakpoints must be strictly increasing positive integers, got {bps}")
 
     if isinstance(x, DigitWord):
         x = evaluate_finite(x, Q)
     x = _unit_value(x)
 
     _check_count(bps[-1])
-    u, v = x.numerator, x.denominator
-    blocks = []
-    lo = 0
-    for nk in bps:
-        prod = base_product(Q, lo + 1, nk)
-        lam, u = divmod(u * prod, v)
-        blocks.append(RegroupBlock(lam, prod - 1))
-        lo = nk
+    products = tuple(base_product(Q, lo + 1, hi) for lo, hi in zip((0,) + bps, bps))
+    lams, _ = _digits(x.numerator, x.denominator, products)
+    blocks = [RegroupBlock(lam, prod - 1) for lam, prod in zip(lams, products)]
 
     mu = min(b.mu for b in blocks)
     lam_star = next(b.lam for b in blocks if b.mu == mu)
     ratio_constant = len({Fraction(b.lam, b.mu) for b in blocks}) == 1
     proportional = all(b.lam * mu == b.mu * lam_star for b in blocks)
     report = Regrouping(bps, tuple(blocks), mu, lam_star, ratio_constant, proportional)
-    return tuple(b.mu + 1 for b in blocks), _unchecked(DigitWord, tuple(b.lam for b in blocks), 1), report
+    return products, _unchecked(DigitWord, lams, 1), report

@@ -197,6 +197,9 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "eval", "--q", "const:10", "--x", "digits:1_0")[0] == 1
     assert run_cli(capsys, "regroup", "--q", "const:10", "--x", "rat:1/3", "--breakpoints", "2,4_0")[0] == 1
     assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1/3", "--count", "\u0661\u0660")[0] == 1
+    assert run_cli(capsys, "reconstruct", "--q", "const:10", "--x", "block:1,2") == (
+        1, "", "parse error: block form is block:<pre|block>, got 'block:1,2'\n"
+    )
 
 
 def test_domain_errors_exit_two(capsys):
@@ -204,6 +207,13 @@ def test_domain_errors_exit_two(capsys):
     assert run_cli(capsys, "dual", "--q", "const:10", "--x", "rat:0/1")[0] == 2
     assert run_cli(capsys, "convert", "--q", "const:10", "--x", "digits:0")[0] == 2
     assert run_cli(capsys, "eval", "--q", "periodic:2,3", "--x", "digits:5,5")[0] == 2
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+@pytest.mark.parametrize("spec,shown", [("3/2", "3/2"), ("-1/2", "-1/2"), ("2/2", "1")])
+def test_eval_of_a_rational_outside_the_unit_interval_is_a_domain_error(capsys, spec, shown, mode):
+    got = run_cli(capsys, "eval", "--q", "const:10", "--x", f"rat:{spec}", *mode)
+    assert got == (2, "", f"domain error: value must lie in [0, 1), got {shown}\n")
 
 
 def test_output_is_deterministic(capsys):
@@ -438,16 +448,29 @@ VERB_LOADS = {
 }
 
 
+def cold_call(argv):
+    """(exit code, modules imported) of one cold CLI call, from the
+    -X importtime lines it writes to stderr."""
+    done = run_child(["-S", "-X", "importtime", "-m", "cantorseries.cli", *argv])
+    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    return done.returncode, loaded
+
+
 @pytest.mark.parametrize("mode", ["plain", "json"])
 @pytest.mark.parametrize("argv", [argv for argv, _ in readme_examples()], ids=[argv[0] for argv, _ in readme_examples()])
 def test_a_cold_call_loads_only_what_its_verb_uses(argv, mode):
-    # -X importtime names on stderr every module the call imports
     argv = argv if mode == "json" else argv[:-1]
-    done = run_child(["-S", "-X", "importtime", "-m", "cantorseries.cli", *argv])
-    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    code, loaded = cold_call(argv)
     want = {f"cantorseries.{stem}" for stem in VERB_LOADS[argv[0]]} | ({"json"} if mode == "json" else set())
-    assert done.returncode == 0
+    assert code == 0
     assert loaded & {"cantorseries.rationality", "cantorseries.structure", "json"} == want
+
+
+def test_a_rational_eval_loads_only_its_range_check():
+    # the range check is expansion._unit_value; a rational needs nothing else
+    code, loaded = cold_call(["eval", "--q", "const:10", "--x", "rat:3/2"])
+    assert code == 2
+    assert {m for m in loaded if m.startswith("cantorseries.")} == {"cantorseries.foundation", "cantorseries.expansion"}
 
 
 def test_readme_quick_tour_gives_the_commented_values():

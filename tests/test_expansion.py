@@ -20,7 +20,7 @@ from cantorseries import (
     shift_value,
     validate_digits,
 )
-from helpers import oracle_digits, oracle_value
+from helpers import oracle_digits, oracle_shift_states, oracle_value
 
 ODD = Rule("odd")
 P23 = Periodic((2, 3))
@@ -95,6 +95,31 @@ def test_digit_stream_matches_expand():
     word, state = expand(Fraction(5, 11), P23, 8)
     assert tuple(d for d, _ in first) == word.digits
     assert first[-1][1].value == state.value
+
+
+@pytest.mark.parametrize(
+    "x,Q,count",
+    [
+        # the stream takes one base at a time; expand steps where 64 bases
+        # are wider than v and peels runs of 64 where they are narrower
+        (Fraction(2**70 // 3, 2**70 + 1), P23, 200),
+        (Fraction(7**160, 3**300 - 2), Constant(10), 129),
+        (Fraction(10**250 // 7, 10**250 + 151), ODD, 130),
+    ],
+)
+def test_digit_stream_matches_expand_over_denominators_wider_than_64_bits(x, Q, count):
+    stream = digit_stream(x, Q)
+    first = [next(stream) for _ in range(count)]
+    word, state = expand(x, Q, count)
+    assert tuple(d for d, _ in first) == word.digits
+    assert first[-1][1] == state
+    states = oracle_shift_states(x, Q, count)[1:]
+    assert [s for _, s in first] == [ShiftState(k, value) for k, value in enumerate(states, 1)]
+
+
+def test_digit_word_end_is_its_last_position():
+    assert DigitWord((1, 2, 3), start=4).end == 6
+    assert DigitWord((), start=4).end == 3
 
 
 def test_evaluate_finite_hand_sum():

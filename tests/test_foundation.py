@@ -168,6 +168,11 @@ def test_tail_min_rejects_what_is_not_a_sequence():
         tail_min("const:10")
 
 
+def test_base_product_rejects_what_is_not_a_sequence():
+    with pytest.raises(TypeError, match="not a QSequence"):
+        base_product("const:10", 1, 3)
+
+
 def test_tail_min_rejects_negative_start():
     with pytest.raises(DomainError):
         tail_min(Constant(2), -1)

@@ -28,6 +28,7 @@ from cantorseries import (
     q_at,
     reconstruct,
     regroup,
+    shift_constant_check,
     shift_step,
     shift_value,
     verify_certificate,
@@ -265,7 +266,11 @@ def test_dual_representation_matches_the_residual_chain(case):
 @given(
     st.one_of(proper_fractions(), wide_fractions()),
     qseqs(),
-    st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
+    st.one_of(
+        st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
+        # blocks of 1-7 bases: over a wide denominator, runs of 64 blocks are peeled
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=150),
+    ),
 )
 def test_regroup_matches_partial_sums(x, Q, gaps):
     bps = tuple(itertools.accumulate(gaps))
@@ -273,3 +278,16 @@ def test_regroup_matches_partial_sums(x, Q, gaps):
     want_bases, want_digits = oracle_regroup(x, Q, bps)
     assert list(new_bases) == want_bases and list(word.digits) == want_digits
     assert [(b.lam, b.mu + 1) for b in report.blocks] == list(zip(want_digits, want_bases))
+
+
+@given(
+    st.one_of(proper_fractions(), wide_fractions()),
+    qseqs(),
+    st.integers(min_value=0, max_value=40),
+    st.one_of(st.integers(min_value=1, max_value=30), RUN_COUNTS),
+)
+def test_shift_constant_window_carries_the_digits_of_x(x, Q, n0, horizon):
+    report = shift_constant_check(x, Q, n0, horizon)
+    digits, _ = oracle_digits(x, Q, n0 + horizon)
+    want = [(k, digits[k - 1], q_at(Q, k)) for k in range(n0 + 1, n0 + horizon + 1)]
+    assert list(report.ratio_witnesses) == want

@@ -164,6 +164,18 @@ def test_convert_rejects_zero_word():
         convert_dual(DigitWord((0, 0)), P23)
 
 
+def test_convert_rejects_a_word_past_position_one_and_any_other_value():
+    with pytest.raises(DomainError, match="finite form must start at position 1, got 2"):
+        convert_dual(DigitWord((1,), start=2), P23)
+    with pytest.raises(TypeError, match="expected DigitWord or CofiniteExpansion"):
+        convert_dual(Fraction(1, 2), P23)
+
+
+def test_cofinite_head_must_start_at_position_one():
+    with pytest.raises(DomainError, match="cofinite head must start at position 1, got 3"):
+        CofiniteExpansion(DigitWord((1,), start=3))
+
+
 def test_convert_rejects_non_canonical_cofinite():
     with pytest.raises(DomainError):
         convert_dual(CofiniteExpansion(DigitWord((1, 2))), P23)
