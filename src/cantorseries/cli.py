@@ -11,8 +11,10 @@ number is needed, --x in one of the forms
 
 Output goes to stdout, plain lines by default or one JSON object with
 --json; both modes carry the same numeric content and are byte-stable for
-identical inputs.  Exit codes: 0 success, 1 usage or parse error, 2 domain
-error (also when memory runs out), 3 undecided outcome.
+identical inputs.  Exit codes: 0 success, 1 usage or parse error, or an
+output error (stdout closed early or full: `output error: ...` on stderr,
+no traceback), 2 domain error (also when memory runs out), 3 undecided
+outcome.
 
 A cold call loads only what its verb uses: each handler imports its
 library module when it runs, a number spec loads the module of its own
@@ -24,6 +26,7 @@ strings, so typing is not imported either: `Any` in them is typing.Any and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -368,6 +371,7 @@ def _main(argv: Sequence[str] | None) -> int:
             print(json.dumps(report))
         else:
             print(_render_plain(report))
+        sys.stdout.flush()  # a closed or full stdout fails here, not at exit
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -377,6 +381,12 @@ def _main(argv: Sequence[str] | None) -> int:
     except MemoryError:
         print("domain error: out of memory", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        # What stays buffered would fail again at exit; the SIGPIPE recipe
+        # of the Python docs points stdout at devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return code
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, compress, islice
-from operator import ge
+from itertools import chain, compress, islice, repeat
+from operator import add, countOf, ge, mul
 
 from .foundation import (
     DomainError,
+    ListBacked,
     QSequence,
     Rational,
     _RUN,
@@ -47,11 +48,13 @@ class DigitWord:
     start: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
+        digits = self.__dict__["digits"] = tuple(self.digits)
         _check_int(self.start, 1, "digit word start")
-        for off, d in enumerate(self.digits):
-            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-                raise DomainError(f"digit at position {self.start + off} must be a nonnegative integer, got {d!r}")
+        if digits and (countOf(map(type, digits), int) != len(digits) or min(digits) < 0):
+            # past the C-level check: name the first bad digit, let int subclasses through
+            for off, d in enumerate(digits):
+                if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+                    raise DomainError(f"digit at position {self.start + off} must be a nonnegative integer, got {d!r}")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -127,19 +130,68 @@ def _fold(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, prod
 
 
+def _numerator_runs(digits: Sequence[int], lo: int, count: int, run: Sequence[int]) -> tuple[int, int]:
+    """(N, W**count) for `count` consecutive runs of len(run) digits from
+    digits[lo], every run over the same bases `run`, whose product is W.
+
+    Each run folds only its numerator.  Blocks of runs then merge in pairs
+    counted from the right, so every right-hand block at level k is whole,
+    2**k runs, and a pair merges as N1 * W**(2**k) + N2: one power per
+    level, each the square of the last, and no merge multiplies two
+    products.  An odd first block goes up a level alone.  The loop is flat
+    on purpose: recursive nested functions form reference cycles, which
+    kept their powers alive until the cyclic collector ran and slowed the
+    calls after them.
+    """
+    size = len(run)
+    nums = []
+    for i in range(lo, lo + count * size, size):
+        num = 0
+        for q, d in zip(run, digits[i : i + size]):
+            num = num * q + d
+        nums.append(num)
+    W = width = math.prod(run)
+    while True:
+        odd = len(nums) % 2
+        nums[odd:] = map(add, map(mul, nums[odd::2], repeat(width)), nums[odd + 1 :: 2])
+        if len(nums) == 1:
+            return nums[0], W**count
+        width *= width
+
+
 def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, int]:
     """(N, P) for digits at positions start, start+1, ...: P is the product
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    A word of at most _RUN digits is folded directly; a longer one in runs
-    of _RUN that _merge_runs combines, O(M(m) log m).  The bases are
-    streamed, never listed.
+    A word of at most _RUN digits is folded directly.  On a list-backed Q
+    with a period of L <= _RUN bases, the digits past the prefix go in runs
+    of R = L * ceil(_RUN / L): every run starts at the same period phase,
+    so all have the same bases and product, and _numerator_runs folds only
+    their numerators.  The prefix part and a last partial run, folded as
+    below, join that result once.  Otherwise (rule sequences, longer
+    periods, fewer than R digits past the prefix) runs of _RUN digits are
+    folded and _merge_runs combines them, O(M(m) log m).
     """
+    m = len(digits)
+    if m <= _RUN:
+        return _fold(zip(iter_bases(Q, start), digits))
+    if isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
+        pre, per = Q.prefix, Q.period
+        head = min(m, max(0, len(pre) - start + 1))  # digits over the prefix
+        reps = -(-_RUN // len(per))
+        whole, tail = divmod(m - head, reps * len(per))
+        if whole:
+            phase = (start + head - len(pre) - 1) % len(per)
+            run = (per[phase:] + per[:phase]) * reps
+            parts = [_numerator_runs(digits, head, whole, run)]
+            if head:
+                parts.insert(0, _positional(digits[:head], Q, start))
+            if tail:
+                parts.append(_fold(zip(run, digits[m - tail :])))
+            return _merge_runs(parts)
     pairs = zip(iter_bases(Q, start), digits)
-    if len(digits) <= _RUN:
-        return _fold(pairs)
-    return _merge_runs(_fold(islice(pairs, _RUN)) for _ in range(0, len(digits), _RUN))
+    return _merge_runs(_fold(islice(pairs, _RUN)) for _ in range(0, m, _RUN))
 
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:

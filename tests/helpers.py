@@ -238,3 +238,36 @@ def sequences_with_literal_bases(draw, reach: int = 200):
         return Periodic(period), (list(period) * reach)[:reach]
     prefix = draw(short)
     return PrefixPeriodic(prefix, period), (list(prefix) + list(period) * reach)[:reach]
+
+
+# Lengths on both sides of every run and merge boundary of _positional's
+# (N, P) path (runs of 64 digits, merged in balanced pairs), plus one long stack.
+MERGE_LENGTHS = [0, 1, 63, 64, 65, 128, 129, 191, 192, 1000, 1031]
+
+
+@st.composite
+def positional_cases(draw):
+    """(Q, literal bases from position 1, start, length) for _positional.
+
+    Either a sequences_with_literal_bases word at start 1-20 with one of
+    MERGE_LENGTHS, or a list-backed sequence with a period of 1-70 bases.
+    A period of L <= 64 bases goes in runs of R = L * ceil(64 / L) digits
+    (R from 64 to 127), and the lengths lie around R, 2R and 2^k R; a longer
+    period takes the (N, P) path.  Starts fall inside the prefix (up to 150
+    bases, so that the prefix part alone may pass 64 digits), on its last
+    base, and past it at any period phase.
+    """
+    if draw(st.booleans()):
+        Q, literal = draw(sequences_with_literal_bases(reach=1100))
+        return Q, literal, draw(st.integers(min_value=1, max_value=20)), draw(st.sampled_from(MERGE_LENGTHS))
+    entry = base_entries()
+    prefix = draw(st.one_of(st.lists(entry, max_size=4), st.lists(entry, min_size=60, max_size=150)))
+    period = draw(st.lists(entry, min_size=1, max_size=70))
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    L = len(period)
+    R = L * -(-64 // L)
+    length = draw(st.sampled_from([R - 1, R, R + 1, 2 * R, 2 * R + 1, 4 * R + 1, 8 * R + 1, *MERGE_LENGTHS]))
+    edge = len(prefix)
+    start = draw(st.one_of(st.sampled_from([max(edge, 1), edge + 1]), st.integers(min_value=1, max_value=edge + 2 * L)))
+    reach = start + length
+    return Q, (prefix + period * -(-reach // L))[:reach], start, length

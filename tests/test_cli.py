@@ -416,6 +416,44 @@ def test_memory_exhaustion_is_a_domain_error(argv):
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "domain error: out of memory\n")
 
 
+EXPAND_1_7 = ("-m", "cantorseries.cli", "expand", "--q", "const:10", "--x", "rat:1/7", "--count")
+
+
+def write_child(argv, stdout):
+    return subprocess.run(
+        [sys.executable, *argv], env=CHILD_ENV, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+
+
+def test_stdout_closed_early_is_an_output_error():
+    # `expand ... | head -c 10`: the reader goes away after 10 of some
+    # 400 kB, while the child is still writing
+    child = subprocess.Popen(
+        [sys.executable, *EXPAND_1_7, "200000"], env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = child.stdout.read(10)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (head, child.wait(timeout=120), err) == (b"x: 1/7\ndig", 1, b"output error: [Errno 32] Broken pipe\n")
+
+
+def test_stdout_closed_before_a_short_write_is_an_output_error():
+    # the whole report fits in the buffer, so it fails at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed:
+        done = write_child([*EXPAND_1_7, "3", "--json"], closed)
+    assert (done.returncode, done.stderr) == (1, "output error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_full_stdout_is_an_output_error():
+    with open("/dev/full", "wb") as full:
+        done = write_child([*EXPAND_1_7, "3"], full)
+    assert (done.returncode, done.stderr) == (1, "output error: [Errno 28] No space left on device\n")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLE_PROMPT = "$ cantorseries "
 

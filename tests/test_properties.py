@@ -44,6 +44,7 @@ from helpers import (
     oracle_regroup,
     oracle_positional,
     oracle_shift_states,
+    positional_cases,
     proper_fractions,
     qseqs,
     sequences_with_literal_bases,
@@ -77,19 +78,10 @@ def test_sliced_products_match_the_listed_bases(prefix, period, lo, count, v):
     assert _base_product_mod(Q, lo, lo + count - 1, v) == want % v
 
 
-# Lengths on both sides of every run and merge boundary of _positional
-# (runs of 64 digits, merged in balanced pairs), plus one long stack.
-MERGE_LENGTHS = [0, 1, 63, 64, 65, 128, 129, 191, 192, 1000, 1031]
-
-
-@given(
-    sequences_with_literal_bases(reach=1100),
-    st.integers(min_value=1, max_value=20),
-    st.sampled_from(MERGE_LENGTHS),
-    st.randoms(use_true_random=False),
-)
-def test_positional_matches_one_multiply_per_digit(spec, start, length, rng):
-    Q, literal = spec
+@settings(max_examples=300)
+@given(positional_cases(), st.randoms(use_true_random=False))
+def test_positional_matches_one_multiply_per_digit(case, rng):
+    Q, literal, start, length = case
     qs = literal[start - 1 : start - 1 + length]
     digits = tuple(rng.randrange(q) for q in qs)
     assert _positional(digits, Q, start) == oracle_positional(digits, qs)
