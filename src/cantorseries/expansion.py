@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
-from operator import add, countOf, ge, mul
+from itertools import chain, compress, islice
+from operator import countOf, ge
 
 from .foundation import (
     DomainError,
@@ -130,35 +130,6 @@ def _fold(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, prod
 
 
-def _numerator_runs(digits: Sequence[int], lo: int, count: int, run: Sequence[int]) -> tuple[int, int]:
-    """(N, W**count) for `count` consecutive runs of len(run) digits from
-    digits[lo], every run over the same bases `run`, whose product is W.
-
-    Each run folds only its numerator.  Blocks of runs then merge in pairs
-    counted from the right, so every right-hand block at level k is whole,
-    2**k runs, and a pair merges as N1 * W**(2**k) + N2: one power per
-    level, each the square of the last, and no merge multiplies two
-    products.  An odd first block goes up a level alone.  The loop is flat
-    on purpose: recursive nested functions form reference cycles, which
-    kept their powers alive until the cyclic collector ran and slowed the
-    calls after them.
-    """
-    size = len(run)
-    nums = []
-    for i in range(lo, lo + count * size, size):
-        num = 0
-        for q, d in zip(run, digits[i : i + size]):
-            num = num * q + d
-        nums.append(num)
-    W = width = math.prod(run)
-    while True:
-        odd = len(nums) % 2
-        nums[odd:] = map(add, map(mul, nums[odd::2], repeat(width)), nums[odd + 1 :: 2])
-        if len(nums) == 1:
-            return nums[0], W**count
-        width *= width
-
-
 def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, int]:
     """(N, P) for digits at positions start, start+1, ...: P is the product
     of their bases and N = sum e_i * (product of the bases after i), so the
@@ -167,11 +138,13 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     A word of at most _RUN digits is folded directly.  On a list-backed Q
     with a period of L <= _RUN bases, the digits past the prefix go in runs
     of R = L * ceil(_RUN / L): every run starts at the same period phase,
-    so all have the same bases and product, and _numerator_runs folds only
-    their numerators.  The prefix part and a last partial run, folded as
-    below, join that result once.  Otherwise (rule sequences, longer
-    periods, fewer than R digits past the prefix) runs of _RUN digits are
-    folded and _merge_runs combines them, O(M(m) log m).
+    so all have the same bases and one product W.  Each run folds only its
+    numerator, and _merge_runs merges them over W alone.  The prefix part
+    (a call of its own) and a last partial run (folded by _fold) then each
+    join that result once.  Otherwise (rule sequences, longer periods,
+    fewer than R digits past the prefix) runs of _RUN digits fold (N, P)
+    pairs, and _merge_runs merges them with their products.  Either way
+    the cost is O(M(m) log m).
     """
     m = len(digits)
     if m <= _RUN:
@@ -180,18 +153,28 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
         pre, per = Q.prefix, Q.period
         head = min(m, max(0, len(pre) - start + 1))  # digits over the prefix
         reps = -(-_RUN // len(per))
-        whole, tail = divmod(m - head, reps * len(per))
+        size = reps * len(per)
+        whole, tail = divmod(m - head, size)
         if whole:
             phase = (start + head - len(pre) - 1) % len(per)
             run = (per[phase:] + per[:phase]) * reps
-            parts = [_numerator_runs(digits, head, whole, run)]
-            if head:
-                parts.insert(0, _positional(digits[:head], Q, start))
+            nums = []
+            for i in range(head, m - tail, size):
+                num = 0
+                for q, d in zip(run, digits[i : i + size]):
+                    num = num * q + d
+                nums.append(num)
+            num, prod = _merge_runs(nums, math.prod(run))
             if tail:
-                parts.append(_fold(zip(run, digits[m - tail :])))
-            return _merge_runs(parts)
+                tail_num, tail_prod = _fold(zip(run, digits[m - tail :]))
+                num, prod = num * tail_prod + tail_num, prod * tail_prod
+            if head:
+                head_num, head_prod = _positional(digits[:head], Q, start)
+                num, prod = head_num * prod + num, head_prod * prod
+            return num, prod
     pairs = zip(iter_bases(Q, start), digits)
-    return _merge_runs(_fold(islice(pairs, _RUN)) for _ in range(0, m, _RUN))
+    nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, m, _RUN)]))
+    return _merge_runs(nums, prods)
 
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:

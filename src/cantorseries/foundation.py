@@ -197,27 +197,34 @@ def _take(it: Iterator, count: int) -> Iterator:
 _RUN = 64  # bases handled one at a time within a run; whole runs are merged or stepped
 
 
-def _merge_runs(runs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """(N, P) of consecutive runs (N_i, P_i), adjacent ones combining as
-    (N1*P2 + N2, P1*P2): a positional numerator and its base product, or a
-    plain product when every N is 0.  No runs give (0, 1).
+def _merge_runs(nums: list[int], prods: list[int] | int) -> tuple[int, int]:
+    """(N, P) of one or more consecutive runs with numerators `nums` and
+    products `prods`, one per run or one int shared by every run: a
+    positional numerator and its base product, or a plain product when
+    every numerator is 0.
 
-    The top two merge whenever they cover equally many runs, like a binary
-    counter, so large multiplies pair equal sizes: O(M(m) log m), not
-    O(m^2).  The rest of the stack folds right to left.
+    Blocks of runs merge in pairs counted from the right, one level at a
+    time, as (N1*P2 + N2, P1*P2): O(M(m) log m), not O(m^2).  An odd first
+    block goes up a level alone, so the right-hand block of every pair at
+    level k is whole, 2**k runs.  A shared product W makes that block's
+    product W**(2**k), squared once per level, and P one power of W.  The
+    loop is flat: recursive nested functions form reference cycles, which
+    kept their products alive until the cyclic collector ran.  The lists
+    are merged in place, so each value is freed once it has been merged.
     """
-    stack: list[tuple[int, int, int]] = []  # (N, P, runs covered)
-    for num, prod in runs:
-        size = 1
-        while stack and stack[-1][2] == size:
-            left_num, left_prod, _ = stack.pop()
-            num, prod, size = left_num * prod + num, left_prod * prod, 2 * size
-        stack.append((num, prod, size))
-    num, prod = 0, 1
-    while stack:
-        left_num, left_prod, _ = stack.pop()
-        num, prod = left_num * prod + num, left_prod * prod
-    return num, prod
+    count, shared, level = len(nums), isinstance(prods, int), prods
+    while (size := len(nums)) > 1:
+        for j, i in enumerate(range(size % 2, size, 2), size % 2):
+            right = level if shared else level[i + 1]
+            nums[j] = nums[i] * right + nums[i + 1]
+            if not shared:
+                level[j] = level[i] * right
+        del nums[j + 1 :]
+        if not shared:
+            del level[j + 1 :]
+        elif j:
+            level *= level
+    return nums[0], prods**count if shared else level[0]
 
 
 def q_at(Q: QSequence, k: int) -> int:
@@ -277,15 +284,16 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
 
     For list-backed sequences only the prefix part and one partial period
     are multiplied out; the whole periods in between are one power.  More
-    than _RUN other factors go in runs merged by _merge_runs, so m rule
-    bases cost O(M(m) log m).  A range or product too large for
+    than _RUN other factors go in runs of _RUN, whose products _merge_runs
+    multiplies in pairs counted from the right, with zero numerators, so m
+    rule bases cost O(M(m) log m).  A range or product too large for
     _sized_split raises DomainError before any multiply.
     """
     factors, size, whole, cycles = _sized_split(Q, lo, hi)
     if size <= _RUN:
         return math.prod(factors) * whole**cycles
-    runs = ((0, math.prod(factors[i : i + _RUN])) for i in range(0, size, _RUN))
-    return _merge_runs(runs)[1] * whole**cycles
+    prods = [math.prod(factors[i : i + _RUN]) for i in range(0, size, _RUN)]
+    return _merge_runs([0] * len(prods), prods)[1] * whole**cycles
 
 
 def _product_mod(factors: Iterable[int], modulus: int, out: int = 1) -> int:
@@ -374,6 +382,8 @@ def format_qseq(Q: QSequence) -> str:
     """
     if isinstance(Q, Rule):
         return f"rule:{Q.rule_id}"
+    if not isinstance(Q, ListBacked):
+        raise TypeError(f"not a QSequence: {Q!r}")
     period = ",".join(map(str, Q.period))
     if Q.prefix:
         return "prefix:" + ",".join(map(str, Q.prefix)) + ";" + period

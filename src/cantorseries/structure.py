@@ -20,6 +20,7 @@ from .foundation import (
     ListBacked,
     QSequence,
     Rational,
+    Rule,
     _base_product_mod,
     _check_count,
     _check_int,
@@ -170,6 +171,8 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     r = x.denominator
     if isinstance(Q, ListBacked):
         top, exhausted = len(Q.prefix) + len(Q.period) * r.bit_length(), DualRepresentationReport("no")
+    elif not isinstance(Q, Rule):
+        raise TypeError(f"not a QSequence: {Q!r}")
     elif r % 2:
         top, exhausted = bound, DualRepresentationReport("undecided", bound=bound)
     else:

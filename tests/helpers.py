@@ -240,9 +240,13 @@ def sequences_with_literal_bases(draw, reach: int = 200):
     return PrefixPeriodic(prefix, period), (list(prefix) + list(period) * reach)[:reach]
 
 
-# Lengths on both sides of every run and merge boundary of _positional's
-# (N, P) path (runs of 64 digits, merged in balanced pairs), plus one long stack.
-MERGE_LENGTHS = [0, 1, 63, 64, 65, 128, 129, 191, 192, 1000, 1031]
+# Lengths on both sides of the 64-digit run boundaries of _positional's
+# (N, P) path, from 1 to 17 runs.  Odd run counts (3, 5, 7, 11, 17) and 12
+# (whose 6 blocks become 3) leave an odd first block, which goes up a level
+# alone, at one or more levels of the merge.
+MERGE_LENGTHS = [
+    0, 1, 63, 64, 65, 128, 129, 191, 192, 3 * 64 + 1, 5 * 64, 7 * 64 - 1, 10 * 64 + 5, 11 * 64 + 5, 1000, 1031
+]
 
 
 @st.composite

@@ -1,21 +1,47 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
+import cantorseries
 from cantorseries import (
+    BlockDescription,
+    CofiniteExpansion,
     Constant,
+    DigitWord,
     DomainError,
     ParseError,
     Periodic,
     PrefixPeriodic,
+    RationalityCertificate,
     Rule,
     bases,
     base_product,
+    block_description,
+    certify_rational,
+    cofinite_value,
+    convert_dual,
+    digit_stream,
+    dual_representation,
+    enclosure,
+    evaluate_finite,
+    expand,
+    fixed_point_digits,
+    fixed_points,
+    fold_cofinite,
     format_qseq,
+    iter_bases,
+    local_value,
     parse_qseq,
     q_at,
+    reconstruct,
+    regroup,
+    shift_constant_check,
+    shift_value,
     tail_min,
+    validate_digits,
+    verify_certificate,
 )
 from cantorseries.foundation import _MAX_PRODUCT_BITS, _base_product_mod
 
@@ -163,14 +189,54 @@ def test_tail_min_matches_enumeration():
             assert got == want
 
 
-def test_tail_min_rejects_what_is_not_a_sequence():
-    with pytest.raises(TypeError, match="not a QSequence"):
-        tail_min("const:10")
+X, WORD = Fraction(1, 3), DigitWord((1,))
+CERT = RationalityCertificate(0, 1, Fraction(1, 3), 10)
+
+# Every public function that takes a base sequence Q, called with the text
+# of one in its place and valid other arguments.  Ranges are non-empty: the
+# empty product is 1 on any Q, so shift_value(x, Q, 0) needs no sequence.
+NOT_A_SEQUENCE = {
+    "base_product": lambda Q: base_product(Q, 1, 3),
+    "bases": lambda Q: bases(Q, 3),
+    "format_qseq": format_qseq,
+    "iter_bases": iter_bases,
+    "q_at": lambda Q: q_at(Q, 1),
+    "tail_min": tail_min,
+    "digit_stream": lambda Q: next(digit_stream(X, Q)),
+    "enclosure": lambda Q: enclosure(WORD, Q),
+    "evaluate_finite": lambda Q: evaluate_finite(WORD, Q),
+    "expand": lambda Q: expand(X, Q, 2),
+    "local_value": lambda Q: local_value(WORD, Q),
+    "shift_value": lambda Q: shift_value(X, Q, 2),
+    "validate_digits": lambda Q: validate_digits(WORD, Q),
+    "block_description": lambda Q: block_description(X, Q),
+    "certify_rational": lambda Q: certify_rational(X, Q),
+    "reconstruct": lambda Q: reconstruct(BlockDescription(DigitWord(()), DigitWord((3,))), Q),
+    "verify_certificate-cert": lambda Q: verify_certificate(X, Q, CERT),
+    "verify_certificate-None": lambda Q: verify_certificate(X, Q, None),
+    "cofinite_value": lambda Q: cofinite_value(CofiniteExpansion(DigitWord((0,))), Q),
+    "convert_dual": lambda Q: convert_dual(WORD, Q),
+    "dual_representation": lambda Q: dual_representation(Fraction(1, 2), Q),
+    "fixed_point_digits": lambda Q: fixed_point_digits(Q, 0),
+    "fixed_points": fixed_points,
+    "fold_cofinite": lambda Q: fold_cofinite((1,), Q),
+    "regroup": lambda Q: regroup(X, Q, (1, 2)),
+    "shift_constant_check": lambda Q: shift_constant_check(X, Q, 0, 3),
+}
 
 
-def test_base_product_rejects_what_is_not_a_sequence():
+def test_the_table_covers_every_public_function_that_takes_a_sequence():
+    takes_q = {
+        name for name in cantorseries.__all__
+        if inspect.isfunction(f := getattr(cantorseries, name)) and "Q" in inspect.signature(f).parameters
+    }
+    assert {row.partition("-")[0] for row in NOT_A_SEQUENCE} == takes_q
+
+
+@pytest.mark.parametrize("call", NOT_A_SEQUENCE.values(), ids=NOT_A_SEQUENCE)
+def test_every_entry_point_rejects_what_is_not_a_sequence(call):
     with pytest.raises(TypeError, match="not a QSequence"):
-        base_product("const:10", 1, 3)
+        call("const:10")
 
 
 def test_tail_min_rejects_negative_start():
@@ -196,9 +262,13 @@ def test_rule_products_too_long_to_take_are_domain_errors():
     assert base_product(Constant(10), 10**20, 10**20 + 1) == 100  # closed form, nothing taken
 
 
-@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 1000, 1031])
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 3 * 64 + 1, 5 * 64, 7 * 64 - 1, 10 * 64 + 5, 11 * 64 + 5, 1000, 1031],
+)
 def test_rule_products_match_one_multiply_per_base(count):
-    # both sides of every run and merge boundary of the balanced product
+    # both sides of the runs of 64 bases, and run counts (3, 5, 7, 11, 12,
+    # 17) that leave an odd first block at one or more levels of the merge
     for start in (1, 7):
         want = math.prod(2 * k + 1 for k in range(start, start + count))
         assert base_product(Rule("odd"), start, start + count - 1) == want

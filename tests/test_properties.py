@@ -34,7 +34,7 @@ from cantorseries import (
     verify_certificate,
 )
 from cantorseries.expansion import _positional
-from cantorseries.foundation import _base_product_mod
+from cantorseries.foundation import _base_product_mod, _merge_runs
 from helpers import (
     base_entries,
     dual_cases,
@@ -85,6 +85,21 @@ def test_positional_matches_one_multiply_per_digit(case, rng):
     qs = literal[start - 1 : start - 1 + length]
     digits = tuple(rng.randrange(q) for q in qs)
     assert _positional(digits, Q, start) == oracle_positional(digits, qs)
+
+
+@given(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=2**130), st.integers(min_value=2, max_value=2**130)),
+             min_size=1, max_size=70),
+    st.booleans(),
+    st.booleans(),
+)
+def test_merge_runs_matches_a_left_fold(runs, shared, zeros):
+    # both modes, one product per run or one shared by all; zero numerators
+    # are how base_product uses it
+    nums = [0 if zeros else num for num, _ in runs]
+    prods = [runs[0][1]] * len(runs) if shared else [prod for _, prod in runs]
+    want = oracle_positional(nums, prods)
+    assert _merge_runs(nums, prods[0] if shared else prods) == want
 
 
 @given(qseqs())
