@@ -26,6 +26,7 @@ from .foundation import (
     _base_product_mod,
     _check_int,
     _merge_runs,
+    _of,
     _record,
     _take,
     _unchecked,
@@ -135,10 +136,12 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    A word of at most _RUN digits is folded directly.  On a list-backed Q
-    with a period of L <= _RUN bases, the digits past the prefix go in runs
-    of R = L * ceil(_RUN / L): every run starts at the same period phase,
-    so all have the same bases and one product W.  Each run folds only its
+    This is the fold of one multiply per digit, for every word that
+    _word_positional does not fold at C level.  A word of at most _RUN
+    digits is folded directly.  On a list-backed Q with a period of
+    L <= _RUN bases, the digits past the prefix go in runs of
+    R = L * ceil(_RUN / L): every run starts at the same period phase, so
+    all have the same bases and one product W.  Each run folds only its
     numerator, and _merge_runs merges them over W alone.  The prefix part
     (a call of its own) and a last partial run (folded by _fold) then each
     join that result once.  Otherwise (rule sequences, longer periods,
@@ -177,12 +180,50 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     return _merge_runs(nums, prods)
 
 
-def validate_digits(word: DigitWord, Q: QSequence) -> None:
-    """Check every digit against its position's alphabet {0, ..., q_k - 1}."""
-    digits, start = word.digits, word.start
+# _packing's two functions, imported for the first long word: a cold call
+# on short words does not compile the module, and later words pay for no
+# import statement (1.4 us each, Python 3.11.7).
+_pack = _fold_packed = None
+
+
+def _packed(word: DigitWord, Q: QSequence) -> tuple[int, bytes, tuple[int, ...]] | None:
+    """validate_digits(word, Q), returning _packing.pack's form of the word
+    when it has one: it has more than _RUN digits on a list-backed Q with a
+    period of at most _RUN bases, and its digits past the prefix are below
+    256 and their bases.  The prefix part and every other word are checked
+    one step per digit, and so is the whole word once the packed check
+    fails, to name the first bad digit.
+    """
+    global _pack, _fold_packed
+    digits, start = _of(DigitWord, word).digits, word.start
+    packed = None
+    if len(digits) > _RUN and isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
+        if _pack is None:
+            from ._packing import fold as _fold_packed, pack as _pack
+        if (packed := _pack(digits, Q, start)) is not None:
+            digits = digits[: packed[0]]
     k = next(compress(range(start, start + len(digits)), map(ge, digits, iter_bases(Q, start))), None)
     if k is not None:
         raise DomainError(f"digit {digits[k - start]} at position {k} out of range for base {q_at(Q, k)}")
+    return packed
+
+
+def validate_digits(word: DigitWord, Q: QSequence) -> None:
+    """Check every digit against its position's alphabet {0, ..., q_k - 1};
+    the DomainError names the first digit out of range.  Past the prefix of
+    a list-backed Q, a long word is checked by one C-level pass over its
+    bytes per period phase (see _packed)."""
+    _packed(word, Q)
+
+
+def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
+    """validate_digits(word, Q), then _positional(word.digits, Q, word.start),
+    both from one bytes(digits) where the packed form applies: for a
+    period product of at most 36, _packing.fold reads the whole periods at
+    C level."""
+    if (packed := _packed(word, Q)) is None:
+        return _positional(word.digits, Q, word.start)
+    return _fold_packed(word.digits, Q, word.start, packed)
 
 
 def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
@@ -242,16 +283,14 @@ def local_value(word: DigitWord, Q: QSequence) -> Fraction:
     For a word at positions s..s+m-1 this is sum e_i/(q_s ... q_i), i.e. the
     contribution of the word to the shifted tail sigma^{s-1}.
     """
-    validate_digits(word, Q)
-    return Fraction(*_positional(word.digits, Q, word.start))
+    return Fraction(*_word_positional(word, Q))
 
 
 def _finite_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
-    """(N, P) of a validated word that starts at position 1."""
-    if word.start != 1:
+    """(N, P) of a word that starts at position 1, its digits checked against Q."""
+    if _of(DigitWord, word).start != 1:
         raise DomainError(f"finite evaluation expects a word starting at position 1, got {word.start}")
-    validate_digits(word, Q)
-    return _positional(word.digits, Q, 1)
+    return _word_positional(word, Q)
 
 
 def evaluate_finite(word: DigitWord, Q: QSequence) -> Rational:

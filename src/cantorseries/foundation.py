@@ -52,6 +52,13 @@ def _check_int(value: object, lowest: int, what: str) -> int:
     return value
 
 
+def _of(cls: type, value: object) -> object:
+    """Return value if it is an instance of the record class cls; else raise TypeError."""
+    if not isinstance(value, cls):
+        raise TypeError(f"not a {cls.__name__}: {value!r}")
+    return value
+
+
 def _record(cls: type) -> type:
     """Make cls a frozen record, as dataclass(frozen=True) would.
 

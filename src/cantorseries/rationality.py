@@ -30,13 +30,14 @@ from .foundation import (
     Rational,
     _base_product_mod,
     _is_int,
+    _of,
     _record,
     _sized_split,
     _unchecked,
     base_product,
     iter_bases,
 )
-from .expansion import DigitWord, _positional, _unit_value, expand, validate_digits
+from .expansion import DigitWord, _unit_value, _word_positional, expand
 
 __all__ = [
     "BlockDescription", "CertificateCheck", "RationalityCertificate",
@@ -88,9 +89,9 @@ class BlockDescription:
     block: DigitWord
 
     def __post_init__(self) -> None:
-        if self.preperiod.start != 1:
+        if _of(DigitWord, self.preperiod).start != 1:
             raise DomainError(f"preperiod must start at position 1, got {self.preperiod.start}")
-        if len(self.block) < 1:
+        if len(_of(DigitWord, self.block)) < 1:
             raise DomainError("recurring block needs at least one digit")
         want = len(self.preperiod) + 1
         if self.block.start != want:
@@ -250,12 +251,10 @@ def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:
     sigma^n = N/(P - 1); the preperiod, worth H/D, then places it:
     x = H/D + sigma^n/D.  N = P - 1 exactly when every block digit is maximal.
     """
-    pre = desc.preperiod.digits
-    if pre:  # an empty preperiod is worth 0/1 and has no digit to check
-        validate_digits(desc.preperiod, Q)
-    validate_digits(desc.block, Q)
-    num, product = _positional(desc.block.digits, Q, desc.block.start)
+    pre = _of(BlockDescription, desc).preperiod
+    # an empty preperiod is worth 0/1 and has no digit to check
+    head, den = _word_positional(pre, Q) if pre.digits else (0, 1)
+    num, product = _word_positional(desc.block, Q)
     if num == product - 1:
         raise DomainError("all-maximal block describes the excluded endpoint value 1")
-    head, den = _positional(pre, Q, 1) if pre else (0, 1)
     return Fraction(head * (product - 1) + num, den * (product - 1))

@@ -24,6 +24,7 @@ from .foundation import (
     _base_product_mod,
     _check_count,
     _check_int,
+    _of,
     _record,
     _unchecked,
     base_product,
@@ -35,8 +36,8 @@ from .foundation import (
 from .expansion import (
     DigitWord,
     _digits,
-    _positional,
     _unit_value,
+    _word_positional,
     evaluate_finite,
     expand,
     shift_value,
@@ -65,7 +66,7 @@ class CofiniteExpansion:
     head: DigitWord
 
     def __post_init__(self) -> None:
-        if self.head.start != 1:
+        if _of(DigitWord, self.head).start != 1:
             raise DomainError(f"cofinite head must start at position 1, got {self.head.start}")
         if len(self.head) < 1:
             raise DomainError("empty cofinite head would describe the excluded endpoint value 1")
@@ -94,8 +95,7 @@ def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
     The tail sum telescopes to exactly one unit of the head's last weight:
     sum_{k>m} (q_k - 1)/(q1...q_k) = 1/(q1...q_m).
     """
-    validate_digits(cof.head, Q)
-    num, prod = _positional(cof.head.digits, Q, 1)
+    num, prod = _word_positional(_of(CofiniteExpansion, cof).head, Q)
     return Fraction(num + 1, prod)
 
 
@@ -123,6 +123,18 @@ class DualRepresentationReport:
     cofinite_form: CofiniteExpansion | None = None
 
 
+def _twin(digits: Sequence[int]) -> CofiniteExpansion:
+    """The trailing-maximum twin of checked finite digits at positions 1,
+    2, ...: trailing zeros trimmed, then the last digit decremented."""
+    ds = list(digits)
+    while ds and ds[-1] == 0:
+        ds.pop()
+    if not ds:
+        raise DomainError("the zero value has no trailing-maximum twin")
+    ds[-1] -= 1
+    return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
+
+
 def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteExpansion | DigitWord:
     """Convert between the finite and trailing-maximum twin representations.
 
@@ -135,13 +147,7 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
         if form.start != 1:
             raise DomainError(f"finite form must start at position 1, got {form.start}")
         validate_digits(form, Q)
-        ds = list(form.digits)
-        while ds and ds[-1] == 0:
-            ds.pop()
-        if not ds:
-            raise DomainError("the zero value has no trailing-maximum twin")
-        ds[-1] -= 1
-        return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
+        return _twin(form.digits)
     if isinstance(form, CofiniteExpansion):
         _validate_canonical(form, Q)
         ds = list(form.head.digits)
@@ -192,9 +198,9 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
     n0 = hi
 
     word, state = expand(x, Q, n0)
-    if state.value != 0 or evaluate_finite(word, Q) != x:
+    if state.value != 0:  # sigma^n0(x) = 0 exactly when the n0 digits evaluate to x
         raise AssertionError("divisibility test and greedy expansion disagree on the n0 digits")
-    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=convert_dual(word, Q))
+    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=_twin(word.digits))
 
 
 @_record

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -55,6 +56,16 @@ def oracle_positional(digits, qs) -> tuple[int, int]:
         num = num * q + d
         prod *= q
     return num, prod
+
+
+def oracle_digit_error(digits, qs, start: int) -> str | None:
+    """validate_digits' message for the first digit at or above its base
+    among the literal bases qs, the first at position start; None when
+    every digit is in range."""
+    for k, (d, q) in enumerate(zip(digits, qs), start):
+        if d >= q:
+            return f"digit {d} at position {k} out of range for base {q}"
+    return None
 
 
 def oracle_certificate_check(x: Fraction, Q: QSequence, cert) -> CertificateCheck:
@@ -275,3 +286,49 @@ def positional_cases(draw):
     start = draw(st.one_of(st.sampled_from([max(edge, 1), edge + 1]), st.integers(min_value=1, max_value=edge + 2 * L)))
     reach = start + length
     return Q, (prefix + period * -(-reach // L))[:reach], start, length
+
+
+# Periods for the byte-packed check and fold: products W from 2 to 36, the
+# last that int(text, W) reads (36 as periodic:6,6 and as const:36), powers
+# of two (read in one piece), and past it W = 37 and 70, a 64-base period
+# (the longest that is packed) and a 65-base one, and bases of 256 and more,
+# whose digits do not fit a byte.
+PACKED_PERIODS = [
+    (2,), (3,), (10,), (36,), (6, 6), (2, 3), (3, 2), (2, 2, 3, 3), (2, 2, 2, 2, 2), (4, 8), (35,),
+    (37,), (5, 2, 7), (2,) * 63 + (3,), (2,) * 65, (256,), (300, 2), (2, 255),
+]
+
+
+@st.composite
+def packed_cases(draw, period):
+    """(Q, literal bases from position 1, start, digits) over the given
+    period for the packed check and fold, whose digits may hold one bad
+    digit.
+
+    The prefix is empty, short, or longer than 64 bases.  Starts fall on
+    and off every period phase, inside the prefix, on its last base and
+    past it.  The whole periods past the prefix number 0, 1, 63, or one
+    less, one more or the same as one or two chunks of 256 base-W digits,
+    and a partial last period of any length follows.  The bad digit sits
+    at any position, so at any period phase, or on an edge: the first or
+    last digit, or either side of the prefix's end.  It is the base itself,
+    the base plus one, 255, 256 or more.
+    """
+    prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
+                            st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    L = len(period)
+    start = draw(st.integers(min_value=1, max_value=len(prefix) + 2 * L + 1))
+    over_prefix = max(0, len(prefix) - start + 1)
+    periods = draw(st.sampled_from([0, 1, 63, 255, 256, 257, 511, 512, 513]))
+    length = over_prefix + periods * L + draw(st.integers(min_value=0, max_value=L - 1))
+    literal = (list(prefix) + list(period) * -(-(start + length) // L))[: start - 1 + length]
+    qs = literal[start - 1 :]
+    # up to 33,000 digits: from a drawn seed, as hypothesis would refuse to draw each one
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    digits = [rng.randrange(q) for q in qs]
+    if digits and draw(st.booleans()):
+        edges = {0, max(0, over_prefix - 1), min(over_prefix, len(digits) - 1), len(digits) - 1}
+        at = draw(st.one_of(st.sampled_from(sorted(edges)), st.integers(min_value=0, max_value=len(digits) - 1)))
+        digits[at] = draw(st.sampled_from([qs[at], qs[at] + 1, 255, 256, 1000]))
+    return Q, literal, start, tuple(digits)

@@ -392,6 +392,26 @@ def test_phase_search_is_loaded_only_when_a_certificate_needs_it():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False, True]\n", "")
 
 
+def test_packing_is_loaded_only_for_a_long_word_on_a_list_backed_sequence():
+    # a cold call pays for compiling _packing only when it checks a word of
+    # more than 64 digits on a period of at most 64 bases: 64 digits on
+    # const:10 and 65 on rule:odd do not load it, 65 on const:10 does, and
+    # loading it brings in no other library module
+    probe = (
+        "import sys\n"
+        "from cantorseries.foundation import Constant, Rule\n"
+        "from cantorseries.expansion import DigitWord, evaluate_finite\n"
+        "loaded = lambda: 'cantorseries._packing' in sys.modules\n"
+        "seen = [loaded()]; evaluate_finite(DigitWord((1,) * 64), Constant(10)); seen.append(loaded())\n"
+        "evaluate_finite(DigitWord((1,) * 65), Rule('odd')); seen.append(loaded())\n"
+        "evaluate_finite(DigitWord((1,) * 65), Constant(10)); seen.append(loaded())\n"
+        "print(seen, sorted(m for m in sys.modules if m.startswith('cantorseries.')))"
+    )
+    done = run_child(["-S", "-c", probe])
+    modules = ["cantorseries._packing", "cantorseries.expansion", "cantorseries.foundation"]
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"[False, False, False, True] {modules}\n", "")
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="sizes the cap from /proc/self/status")
 @pytest.mark.parametrize(
     "argv",

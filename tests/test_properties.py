@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,19 +32,23 @@ from cantorseries import (
     shift_constant_check,
     shift_step,
     shift_value,
+    validate_digits,
     verify_certificate,
 )
-from cantorseries.expansion import _positional
-from cantorseries.foundation import _base_product_mod, _merge_runs
+from cantorseries.expansion import _packed, _positional, _word_positional
+from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs
 from helpers import (
+    PACKED_PERIODS,
     base_entries,
     dual_cases,
     oracle_certificate_check,
+    oracle_digit_error,
     oracle_digits,
     oracle_dual_chain,
     oracle_regroup,
     oracle_positional,
     oracle_shift_states,
+    packed_cases,
     positional_cases,
     proper_fractions,
     qseqs,
@@ -85,6 +90,31 @@ def test_positional_matches_one_multiply_per_digit(case, rng):
     qs = literal[start - 1 : start - 1 + length]
     digits = tuple(rng.randrange(q) for q in qs)
     assert _positional(digits, Q, start) == oracle_positional(digits, qs)
+
+
+@pytest.mark.parametrize("period", PACKED_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_packed_check_and_fold_match_one_step_per_digit(period, data):
+    # The packed path names the first bad digit, in the message that one
+    # step per digit gives, and folds what passes to the same (N, P) as one
+    # multiply per digit.  It is taken exactly for a word longer than 64
+    # digits on a period of at most 64 bases whose digits past the prefix
+    # are all below 256.
+    Q, literal, start, digits = data.draw(packed_cases(period))
+    qs = literal[start - 1 :]
+    word = DigitWord(digits, start)
+    bad = oracle_digit_error(digits, qs, start)
+    if bad is not None:
+        for call in (_word_positional, _packed, validate_digits):
+            with pytest.raises(DomainError) as got:
+                call(word, Q)
+            assert str(got.value) == bad
+        return
+    assert _word_positional(word, Q) == oracle_positional(digits, qs)
+    head = max(0, len(Q.prefix) - start + 1)
+    packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 256
+    assert (_packed(word, Q) is not None) == packs
 
 
 @given(

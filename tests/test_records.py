@@ -30,10 +30,16 @@ from cantorseries import (
     ShiftState,
     TailMin,
     block_description,
+    cofinite_value,
     convert_dual,
     dual_representation,
+    enclosure,
+    evaluate_finite,
     expand,
+    local_value,
+    reconstruct,
     regroup,
+    validate_digits,
 )
 from helpers import dual_cases, proper_fractions, qseqs
 
@@ -114,6 +120,27 @@ def test_defaults():
 def test_post_init_checks_raise_domain_errors(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+# Every record parameter that a function or record reads fields from, handed
+# what it holds or another record instead: (the record class named, call).
+NOT_A_RECORD = {
+    "validate_digits": ("DigitWord", lambda: validate_digits((1, 0), Periodic((2, 3)))),
+    "local_value": ("DigitWord", lambda: local_value((1, 0), Periodic((2, 3)))),
+    "evaluate_finite": ("DigitWord", lambda: evaluate_finite((1, 0), Periodic((2, 3)))),
+    "enclosure": ("DigitWord", lambda: enclosure((1, 0), Periodic((2, 3)))),
+    "reconstruct": ("BlockDescription", lambda: reconstruct(((), (1,)), Periodic((2, 3)))),
+    "cofinite_value": ("CofiniteExpansion", lambda: cofinite_value(DigitWord((1,)), Periodic((2, 3)))),
+    "BlockDescription": ("DigitWord", lambda: BlockDescription((), (1,))),
+    "BlockDescription-block": ("DigitWord", lambda: BlockDescription(DigitWord(()), (1,))),
+    "CofiniteExpansion": ("DigitWord", lambda: CofiniteExpansion((1,))),
+}
+
+
+@pytest.mark.parametrize("name,call", NOT_A_RECORD.values(), ids=NOT_A_RECORD)
+def test_record_parameters_reject_anything_else_with_a_type_error(name, call):
+    with pytest.raises(TypeError, match=f"^not a {name}: "):
+        call()
 
 
 def test_post_init_normalises_sequences_to_tuples():
