@@ -24,6 +24,7 @@ from .foundation import (
     Rational,
     _RUN,
     _base_product_mod,
+    _check_count,
     _check_int,
     _merge_runs,
     _of,
@@ -73,6 +74,9 @@ class ShiftState:
     step: int
     value: Fraction
 
+    def __post_init__(self) -> None:
+        _check_int(self.step, 0, "shift step")
+
 
 @_record
 class Enclosure:
@@ -95,7 +99,9 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
 def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Digits e_1..e_m of reduced u/v under the given bases, and the last
     state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
-    integers, as sigma^k(u/v) = u_k/v.
+    integers, as sigma^k(u/v) = u_k/v.  Long expansions of a v of at most
+    _LANE_BITS bits on a list-backed Q take _packing.expand_lanes instead
+    (see expand).
 
     While v is wider than the product P of the next _RUN bases, one step
     N, u_{k+r} = divmod(u_k * P, v) crosses them all (the partial-sum
@@ -233,21 +239,47 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     always in {0, ..., q-1} and the next value stays in [0, 1).
     """
     _check_int(q, 2, "shift base")
-    value = _unit_value(state.value, "shift value")
+    value = _unit_value(_of(ShiftState, state).value, "shift value")
     scaled = q * value
     digit = math.floor(scaled)
-    return digit, ShiftState(state.step + 1, scaled - digit)
+    return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
+
+
+# expand hands counts of at least _LANES_FROM digits of a v of at most
+# _LANE_BITS bits on a list-backed Q to _packing.expand_lanes (see expand).
+_LANES_FROM = 256
+_LANE_BITS = 32
+_expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
 
 
 def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, ShiftState]:
     """First `count` digits of x under Q, plus the exact final shift state.
 
     Digits follow the greedy floor rule, which picks the terminating (all
-    zero tail) representation whenever two exist; _digits makes them.
+    zero tail) representation whenever two exist.  _digits makes them, one
+    step per digit, unless count >= _LANES_FROM on a list-backed Q with a
+    period of at most _RUN bases, all at most 256, and v = x.denominator
+    of at most _LANE_BITS bits: there _packing.expand_lanes steps up to
+    1024 periods at once, each in a lane of one int.  The n + m digits of
+    12345/30011 took 0.28 to 0.34 times the loop's time (30,010 digits on
+    const:10 in 0.94 ms, against 3.41 ms).  The lanes cross over near 256
+    digits for a v of 10 to 15 bits and near 320 for 32 bits; at 48 bits
+    they need about 1000 digits, and at 64 bits they are no faster on
+    30,000 (Python 3.11.7, shared VM).
     """
+    global _expand_lanes
     x = _unit_value(x)
-    digits, u = _digits(x.numerator, x.denominator, _take(iter_bases(Q), _check_int(count, 1, "digit count")))
-    return _unchecked(DigitWord, digits, 1), ShiftState(count, Fraction(u, x.denominator))
+    u, v = x.numerator, x.denominator
+    qs = iter_bases(Q)  # a Q that is not a QSequence raises TypeError before a bad count
+    if _check_int(count, 1, "digit count") < _LANES_FROM or not (
+        isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
+    ):
+        digits, u = _digits(u, v, _take(qs, count))
+    else:
+        if _expand_lanes is None:
+            from ._packing import expand_lanes as _expand_lanes
+        digits, u = _expand_lanes(u, v, Q, _check_count(count))
+    return _unchecked(DigitWord, digits, 1), _unchecked(ShiftState, count, Fraction(u, v))
 
 
 def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
@@ -274,7 +306,7 @@ def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftSt
     u, v = x.numerator, x.denominator
     for k, q in enumerate(iter_bases(Q), 1):
         (d,), u = _digits(u, v, (q,))
-        yield d, ShiftState(k, Fraction(u, v))
+        yield d, _unchecked(ShiftState, k, Fraction(u, v))
 
 
 def local_value(word: DigitWord, Q: QSequence) -> Fraction:

@@ -332,3 +332,43 @@ def packed_cases(draw, period):
         at = draw(st.one_of(st.sampled_from(sorted(edges)), st.integers(min_value=0, max_value=len(digits) - 1)))
         digits[at] = draw(st.sampled_from([qs[at], qs[at] + 1, 255, 256, 1000]))
     return Q, literal, start, tuple(digits)
+
+
+# Periods for expand's lane path: bases up to 256 (a digit is a byte) and
+# periods up to 64 bases take it; 257 and a 65-base period fall back.
+LANE_PERIODS = [
+    (2,), (10,), (255,), (256,), (2, 3), (5, 2, 7), (256, 255, 2), (3, 2, 2), tuple(range(193, 257)),
+    (257,), (2, 257), tuple(range(2, 67)),
+]
+# The least count that takes the lanes, the most lanes, and the widest v.
+LANES_FROM, LANES, LANE_BITS = 256, 1024, 32
+
+
+@st.composite
+def lane_cases(draw, period):
+    """(x, Q, count) for expand over the given period.
+
+    The prefix is empty, 1 to 3 bases (mostly not a whole number of
+    periods, so a phase counted from position 1 would be wrong) or 65 to
+    80.  x = u/v has v of 1 (x = 0), a few
+    bits, LANE_BITS bits exactly, one bit more, 64 bits (2^64 - 59) or 65
+    (2^64 + 13), or a product of period bases, whose expansion ends in
+    zeros from some digit on.  The count is the lane threshold, one less or
+    one more; or it leaves K whole periods past the prefix with K around
+    one lane each (LANES) or two periods a lane, plus a partial last
+    period.
+    """
+    prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
+                            st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    v = draw(st.one_of(
+        st.sampled_from([1, 2**LANE_BITS - 5, 2**LANE_BITS + 15, 2**64 - 59, 2**64 + 13]),
+        st.integers(min_value=2, max_value=2**LANE_BITS),
+        st.lists(st.sampled_from(period), min_size=1, max_size=6).map(math.prod),
+    ))
+    x = Fraction(draw(st.integers(min_value=0, max_value=v - 1)), v)
+    L = len(period)
+    K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1]))
+    past = K * L + draw(st.integers(min_value=0, max_value=L - 1))
+    count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, len(prefix) + past]))
+    return x, Q, max(count, 1)

@@ -394,22 +394,49 @@ def test_phase_search_is_loaded_only_when_a_certificate_needs_it():
 
 def test_packing_is_loaded_only_for_a_long_word_on_a_list_backed_sequence():
     # a cold call pays for compiling _packing only when it checks a word of
-    # more than 64 digits on a period of at most 64 bases: 64 digits on
-    # const:10 and 65 on rule:odd do not load it, 65 on const:10 does, and
-    # loading it brings in no other library module
+    # more than 64 digits on a period of at most 64 bases, or expands at
+    # least 256 digits there: 64 digits on const:10, 65 on rule:odd, and
+    # expansions of 255 digits on const:10 and of 300 on rule:odd do not
+    # load it; a 65-digit word on const:10 does, and so does a 256-digit
+    # expansion, in a process of its own; loading it brings in no other
+    # library module
     probe = (
         "import sys\n"
+        "from fractions import Fraction\n"
         "from cantorseries.foundation import Constant, Rule\n"
-        "from cantorseries.expansion import DigitWord, evaluate_finite\n"
+        "from cantorseries.expansion import DigitWord, evaluate_finite, expand\n"
         "loaded = lambda: 'cantorseries._packing' in sys.modules\n"
         "seen = [loaded()]; evaluate_finite(DigitWord((1,) * 64), Constant(10)); seen.append(loaded())\n"
         "evaluate_finite(DigitWord((1,) * 65), Rule('odd')); seen.append(loaded())\n"
-        "evaluate_finite(DigitWord((1,) * 65), Constant(10)); seen.append(loaded())\n"
+        "expand(Fraction(1, 7), Constant(10), 255); seen.append(loaded())\n"
+        "expand(Fraction(1, 7), Rule('odd'), 300); seen.append(loaded())\n"
+        "{}; seen.append(loaded())\n"
         "print(seen, sorted(m for m in sys.modules if m.startswith('cantorseries.')))"
     )
-    done = run_child(["-S", "-c", probe])
     modules = ["cantorseries._packing", "cantorseries.expansion", "cantorseries.foundation"]
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"[False, False, False, True] {modules}\n", "")
+    for loads in ("evaluate_finite(DigitWord((1,) * 65), Constant(10))", "expand(Fraction(1, 7), Constant(10), 256)"):
+        done = run_child(["-S", "-c", probe.format(loads)])
+        want = f"[False, False, False, False, False, True] {modules}\n"
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), loads
+
+
+def test_a_private_name_is_not_looked_up_in_the_library():
+    # hasattr(package, "_packing"), which `from . import _packing` makes
+    # before it imports, and any other private or dunder name but __all__,
+    # fail at once without loading the four library modules; the import
+    # form then loads _packing alone, and public names still resolve
+    probe = (
+        "import sys, cantorseries\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('cantorseries.'))\n"
+        "print(hasattr(cantorseries, '_packing'), hasattr(cantorseries, '__wrapped__'), loaded())\n"
+        "from cantorseries import _packing\n"
+        "print(loaded())\n"
+        "print(cantorseries.expand.__name__, len(cantorseries.__all__), len(loaded()))"
+    )
+    done = run_child(["-S", "-c", probe])
+    lines = ["False False []", "['cantorseries._packing', 'cantorseries.expansion', 'cantorseries.foundation']",
+             "expand 50 5"]
+    assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, lines, "")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="sizes the cap from /proc/self/status")

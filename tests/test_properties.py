@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +36,17 @@ from cantorseries import (
     validate_digits,
     verify_certificate,
 )
+from cantorseries import _packing, expansion
 from cantorseries.expansion import _packed, _positional, _word_positional
 from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs
 from helpers import (
+    LANE_BITS,
+    LANE_PERIODS,
+    LANES_FROM,
     PACKED_PERIODS,
     base_entries,
     dual_cases,
+    lane_cases,
     oracle_certificate_check,
     oracle_digit_error,
     oracle_digits,
@@ -115,6 +121,26 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
     head = max(0, len(Q.prefix) - start + 1)
     packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 256
     assert (_packed(word, Q) is not None) == packs
+
+
+@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lane_expansion_matches_the_greedy_digits(period, data):
+    # The digits and the final state are those of plain Fraction steps, on
+    # the lanes and off them.  The lanes are taken exactly for a count of
+    # at least LANES_FROM, a period of at most 64 bases, all at most 256,
+    # and v of at most LANE_BITS bits.
+    x, Q, count = data.draw(lane_cases(period))
+    real = _packing.expand_lanes
+    calls = []
+    with mock.patch.object(_packing, "expand_lanes", lambda *args: calls.append(args) or real(*args)), \
+            mock.patch.object(expansion, "_expand_lanes", None):
+        word, state = expand(x, Q, count)
+    digits, value = oracle_digits(x, Q, count)
+    assert word == DigitWord(digits) and state == ShiftState(count, value)
+    lanes = count >= LANES_FROM and len(period) <= 64 and max(period) <= 256
+    assert bool(calls) == (lanes and x.denominator.bit_length() <= LANE_BITS)
 
 
 @given(

@@ -3,6 +3,7 @@ defaults, checks, equality within one class, hashing, repr and
 immutability, as `dataclass(frozen=True)` defines them."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from cantorseries import (
     block_description,
     cofinite_value,
     convert_dual,
+    digit_stream,
     dual_representation,
     enclosure,
     evaluate_finite,
@@ -39,6 +41,7 @@ from cantorseries import (
     local_value,
     reconstruct,
     regroup,
+    shift_step,
     validate_digits,
 )
 from helpers import dual_cases, proper_fractions, qseqs
@@ -115,6 +118,9 @@ def test_defaults():
         lambda: DigitWord((1.0,)),
         lambda: BlockDescription(DigitWord((1,), 2), DigitWord((3,), 2)),
         lambda: CofiniteExpansion(DigitWord(())),
+        lambda: ShiftState(1.5, Fraction(1, 2)),
+        lambda: ShiftState(True, Fraction(1, 2)),
+        lambda: ShiftState(-1, Fraction(1, 2)),
     ],
 )
 def test_post_init_checks_raise_domain_errors(bad):
@@ -134,6 +140,8 @@ NOT_A_RECORD = {
     "BlockDescription": ("DigitWord", lambda: BlockDescription((), (1,))),
     "BlockDescription-block": ("DigitWord", lambda: BlockDescription(DigitWord(()), (1,))),
     "CofiniteExpansion": ("DigitWord", lambda: CofiniteExpansion((1,))),
+    "shift_step": ("ShiftState", lambda: shift_step((0, Fraction(1, 2)), 3)),
+    "shift_step-record": ("ShiftState", lambda: shift_step(DigitWord((1,)), 3)),
 }
 
 
@@ -141,6 +149,12 @@ NOT_A_RECORD = {
 def test_record_parameters_reject_anything_else_with_a_type_error(name, call):
     with pytest.raises(TypeError, match=f"^not a {name}: "):
         call()
+
+
+def test_shift_state_step_is_a_position():
+    with pytest.raises(DomainError, match=r"^shift step must be an integer >= 0, got 1\.5$"):
+        ShiftState(1.5, Fraction(1, 2))
+    assert ShiftState(0, Fraction(1, 2)).step == 0
 
 
 def test_post_init_normalises_sequences_to_tuples():
@@ -209,6 +223,18 @@ def words_made_unchecked(x, Q, dual_case):
         yield report.cofinite_form.head
         yield convert_dual(report.finite_form, dual_case[1]).head
         yield convert_dual(report.cofinite_form, dual_case[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(proper_fractions(), qseqs())
+def test_states_built_unchecked_equal_checked_states(x, Q):
+    # expand (both paths), digit_stream and shift_step build their states
+    # without the step check
+    states = [expand(x, Q, 12)[1], expand(x, Q, 300)[1], shift_step(ShiftState(4, x), 3)[1]]
+    states += [state for _, state in itertools.islice(digit_stream(x, Q), 5)]
+    for state in states:
+        assert type(state.step) is int and state == ShiftState(state.step, state.value)
+        assert repr(state) == repr(ShiftState(state.step, state.value))
 
 
 @settings(max_examples=150, deadline=None)
