@@ -3,10 +3,10 @@ digits, and long expansions from residues packed in lanes of one int.
 
 expansion hands over a word of more than _RUN digits on a list-backed Q
 with a period of L <= _RUN bases, and an expansion of at least
-_LANES_FROM digits on such a Q with every period base at most 256 and a
-denominator of at most _LANE_BITS bits.  The module is imported on first
-use, not with the package, so a cold call on short words does not compile
-it.
+_LANES_FROM digits per 64 bits of lane width on such a Q with every
+period base at most 256 and a denominator of at most _LANE_BITS bits.
+The module is imported on first use, not with the package, so a cold
+call on short words does not compile it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from .foundation import ListBacked, _merge_runs
-from .expansion import _digits, _fold, _positional
+from .expansion import _digits, _fold, _lane_bits, _positional
 
 # The bytes below q are _BYTES[:q]: deleting them from the digits of base q
 # leaves exactly the digits out of range.
@@ -69,7 +69,9 @@ def fold(digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, by
     each lane that period's base-W digit, below W, so no lane carries.
     Those K base-W digits become text, and int(text, W) reads them in
     chunks of _CHUNK, which _merge_runs merges over W**_CHUNK; a power of
-    two W is read in one piece, as int() is linear there.  A partial last
+    two W is read in one piece, as int() is linear there.  Every power of
+    W = 2**a * r, r odd, is taken as _merge_runs takes its own, an odd
+    power and a shift: W**k = r**k << a * k.  A partial last
     period (folded by _fold) and the prefix part (by _positional) join that
     result once.  A larger W takes _positional.
     """
@@ -84,12 +86,14 @@ def fold(digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, by
         lanes += int.from_bytes(bs[j : K * L : L], "big") * after
         after *= run[j]
     text = lanes.to_bytes(K, "big").translate(_DIGIT_TEXT)
-    step = _CHUNK if W & (W - 1) else max(K, 1)
+    a = (W & -W).bit_length() - 1
+    r = W >> a
+    step = _CHUNK if r > 1 else max(K, 1)
     lead = K % step
     nums = [int(text[i : i + step], W) for i in range(lead, K, step)]
-    num, prod = _merge_runs(nums, W**step) if nums else (0, 1)
+    num, prod = _merge_runs(nums, r**step << a * step) if nums else (0, 1)
     if lead:
-        num, prod = int(text[:lead], W) * prod + num, W**lead * prod
+        num, prod = int(text[:lead], W) * prod + num, r**lead * prod << a * lead
     tail_num, tail_prod = _fold(zip(run, digits[head + K * L :]))
     num, prod = num * tail_prod + tail_num, prod * tail_prod
     if head:
@@ -159,7 +163,7 @@ def _lane_mulmod(v: int, lanes: int) -> tuple[Callable[[int, int], tuple[int, in
     N = l + max(l, 8)
     s = N + l
     M = (1 << s) // v + 1
-    B = 8 * -(-(2 * N + 1) // 8)
+    B = _lane_bits(v)
     mask = int.from_bytes(((1 << N - l + 1) - 1).to_bytes(B // 8, "little") * lanes, "little")
 
     def mulmod(X: int, c: int) -> tuple[int, int]:

@@ -245,11 +245,19 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
 
 
-# expand hands counts of at least _LANES_FROM digits of a v of at most
-# _LANE_BITS bits on a list-backed Q to _packing.expand_lanes (see expand).
+# expand hands counts of at least _LANES_FROM digits per 64 bits of lane
+# width of a v of at most _LANE_BITS bits on a list-backed Q to
+# _packing.expand_lanes (see expand).
 _LANES_FROM = 256
 _LANE_BITS = 32
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
+
+
+def _lane_bits(v: int) -> int:
+    """The width B of one lane of _packing.expand_lanes for v: the whole
+    bytes that hold 2N + 1 bits, N = l + max(l, 8) for l = bits(v)."""
+    l = v.bit_length()
+    return 8 * -(-(2 * (l + max(l, 8)) + 1) // 8)
 
 
 def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, ShiftState]:
@@ -257,15 +265,16 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  _digits makes them, one
-    step per digit, unless count >= _LANES_FROM on a list-backed Q with a
-    period of at most _RUN bases, all at most 256, and v = x.denominator
-    of at most _LANE_BITS bits: there _packing.expand_lanes steps up to
-    1024 periods at once, each in a lane of one int.  The n + m digits of
+    step per digit, unless v = x.denominator has at most _LANE_BITS bits,
+    Q is list-backed with a period of at most _RUN bases, all at most 256,
+    and count is at least _LANES_FROM * max(B, 64) / 64 for the lane width
+    B of v (_lane_bits): there _packing.expand_lanes steps up to 1024
+    periods at once, each in a lane of one int.  The n + m digits of
     12345/30011 took 0.28 to 0.34 times the loop's time (30,010 digits on
-    const:10 in 0.94 ms, against 3.41 ms).  The lanes cross over near 256
-    digits for a v of 10 to 15 bits and near 320 for 32 bits; at 48 bits
-    they need about 1000 digits, and at 64 bits they are no faster on
-    30,000 (Python 3.11.7, shared VM).
+    const:10 in 0.94 ms, against 3.41 ms).  The lanes overtake the loop
+    near 256 digits up to 15 bits of v (B <= 64) and near 4 * B digits at
+    20 to 28 bits; at 32 bits near 384 digits, before 4 * B = 544, and at
+    64 bits they are no faster on 30,000 (Python 3.11.7, shared VM).
     """
     global _expand_lanes
     x = _unit_value(x)
@@ -273,6 +282,7 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     qs = iter_bases(Q)  # a Q that is not a QSequence raises TypeError before a bad count
     if _check_int(count, 1, "digit count") < _LANES_FROM or not (
         isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
+        and 64 * count >= _LANES_FROM * _lane_bits(v)
     ):
         digits, u = _digits(u, v, _take(qs, count))
     else:

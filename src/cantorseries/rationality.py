@@ -207,13 +207,18 @@ def _check_recurrence(
 ) -> CertificateCheck:
     """verify_certificate's check of sigma^n(x) = sigma^{n+m}(x) for x in
     [0, 1), n >= 0 and m >= 1, with claim's shift value and block product
-    when given; it builds the block product once, and raises base_product's
-    DomainError for a range or product past its bounds."""
+    when given; it builds the block product once, and only for a claim to
+    compare it with (without one, P - 1 is taken mod v), and raises
+    base_product's DomainError for a range or product past its bounds."""
     v = x.denominator
     head = _base_product_mod(Q, 1, n, v)
-    product = base_product(Q, n + 1, n + m)
+    if claim is None:
+        _sized_split(Q, n + 1, n + m)  # the same bounds as with a claim
+        gap = (_base_product_mod(Q, n + 1, n + m, v) - 1) % v
+    else:
+        product = base_product(Q, n + 1, n + m)
+        gap = (product - 1) % v
     u_n = x.numerator * head % v
-    gap = (product - 1) % v
     recurrence_ok = u_n * gap % v == 0
     divisibility_ok = head * gap % v == 0
     if not recurrence_ok:

@@ -340,8 +340,16 @@ LANE_PERIODS = [
     (2,), (10,), (255,), (256,), (2, 3), (5, 2, 7), (256, 255, 2), (3, 2, 2), tuple(range(193, 257)),
     (257,), (2, 257), tuple(range(2, 67)),
 ]
-# The least count that takes the lanes, the most lanes, and the widest v.
+# The least count that takes the lanes for any v, the most lanes, and the widest v.
 LANES_FROM, LANES, LANE_BITS = 256, 1024, 32
+
+
+def lanes_from(v):
+    """The least count that takes the lanes for v: 4 digits per bit of the
+    lane width, the whole bytes that hold 2N + 1 bits for
+    N = bits(v) + max(bits(v), 8), and never fewer than LANES_FROM."""
+    l = v.bit_length()
+    return max(LANES_FROM, 4 * 8 * math.ceil((2 * (l + max(l, 8)) + 1) / 8))
 
 
 @st.composite
@@ -353,10 +361,10 @@ def lane_cases(draw, period):
     80.  x = u/v has v of 1 (x = 0), a few
     bits, LANE_BITS bits exactly, one bit more, 64 bits (2^64 - 59) or 65
     (2^64 + 13), or a product of period bases, whose expansion ends in
-    zeros from some digit on.  The count is the lane threshold, one less or
-    one more; or it leaves K whole periods past the prefix with K around
-    one lane each (LANES) or two periods a lane, plus a partial last
-    period.
+    zeros from some digit on.  The count is the lane threshold for any v
+    or for this v, one less or one more; or it leaves K whole periods past
+    the prefix with K around one lane each (LANES) or two periods a lane,
+    plus a partial last period.
     """
     prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
                             st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
@@ -370,5 +378,7 @@ def lane_cases(draw, period):
     L = len(period)
     K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1]))
     past = K * L + draw(st.integers(min_value=0, max_value=L - 1))
-    count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, len(prefix) + past]))
+    least = lanes_from(v)
+    count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1,
+                                  len(prefix) + past]))
     return x, Q, max(count, 1)

@@ -90,14 +90,17 @@ def test_verify_far_certificate_on_the_rule_sequence_is_fast(capsys):
     assert code == 0 and report["ok"] is True
 
 
-def test_verify_builds_the_block_product_once(capsys, monkeypatch):
+def test_verify_builds_no_block_product(capsys, monkeypatch):
+    # without a claimed product to compare, P - 1 is needed mod v only
     built = []
     real = cantorseries.base_product
     for module in (cantorseries.foundation, cantorseries.rationality, cantorseries.cli):
         monkeypatch.setattr(module, "base_product", lambda *args: built.append(args) or real(*args), raising=False)
     code, report, _ = run_json(capsys, "verify", "--q", "const:10", "--x", "rat:1/3", "--n", "0", "--m", "6")
     assert code == 0 and report["ok"] is True
-    assert len(built) == 1
+    code, report, _ = run_json(capsys, "verify", "--q", "const:10", "--x", "rat:1/7", "--n", "0", "--m", "999996")
+    assert code == 0 and report["ok"] is True
+    assert built == []
 
 
 def test_reconstruct_json(capsys):

@@ -42,11 +42,11 @@ from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs
 from helpers import (
     LANE_BITS,
     LANE_PERIODS,
-    LANES_FROM,
     PACKED_PERIODS,
     base_entries,
     dual_cases,
     lane_cases,
+    lanes_from,
     oracle_certificate_check,
     oracle_digit_error,
     oracle_digits,
@@ -77,12 +77,17 @@ def test_base_layer_matches_literal_list(spec, start, count):
 @given(
     st.lists(base_entries(), max_size=4).map(tuple),
     st.lists(base_entries(), min_size=1, max_size=4).map(tuple),
+    st.booleans(),
     st.integers(min_value=1, max_value=20),
-    st.integers(min_value=0, max_value=40),
+    st.one_of(st.integers(min_value=0, max_value=40), st.integers(min_value=200, max_value=1500)),
     st.integers(min_value=1, max_value=200),
 )
-def test_sliced_products_match_the_listed_bases(prefix, period, lo, count, v):
-    # lo falls inside the prefix, on its last base, or past it, at every period phase
+def test_sliced_products_match_the_listed_bases(prefix, period, odd, lo, count, v):
+    # lo falls inside the prefix, on its last base, or past it, at every
+    # period phase; up to hundreds of whole periods, of an odd period
+    # product or an even one, whose power is an odd power and a shift
+    if odd:
+        period = tuple(q | 1 for q in period)
     Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
     want = math.prod(bases(Q, count, lo))
     assert base_product(Q, lo, lo + count - 1) == want
@@ -129,7 +134,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
 def test_lane_expansion_matches_the_greedy_digits(period, data):
     # The digits and the final state are those of plain Fraction steps, on
     # the lanes and off them.  The lanes are taken exactly for a count of
-    # at least LANES_FROM, a period of at most 64 bases, all at most 256,
+    # at least lanes_from(v), a period of at most 64 bases, all at most 256,
     # and v of at most LANE_BITS bits.
     x, Q, count = data.draw(lane_cases(period))
     real = _packing.expand_lanes
@@ -139,23 +144,30 @@ def test_lane_expansion_matches_the_greedy_digits(period, data):
         word, state = expand(x, Q, count)
     digits, value = oracle_digits(x, Q, count)
     assert word == DigitWord(digits) and state == ShiftState(count, value)
-    lanes = count >= LANES_FROM and len(period) <= 64 and max(period) <= 256
+    lanes = count >= lanes_from(x.denominator) and len(period) <= 64 and max(period) <= 256
     assert bool(calls) == (lanes and x.denominator.bit_length() <= LANE_BITS)
 
 
 @given(
     st.lists(st.tuples(st.integers(min_value=0, max_value=2**130), st.integers(min_value=2, max_value=2**130)),
              min_size=1, max_size=70),
-    st.booleans(),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=300)),
+            st.one_of(st.just(1), st.integers(min_value=0, max_value=2**130).map(lambda k: 2 * k + 1)),
+        ).filter(lambda split: split != (0, 1)),
+    ),
     st.booleans(),
 )
 def test_merge_runs_matches_a_left_fold(runs, shared, zeros):
-    # both modes, one product per run or one shared by all; zero numerators
-    # are how base_product uses it
+    # both modes: one product per run, or one shared by all, W = 2**a * r
+    # with r odd, a power of two (r = 1) and an odd W (a = 0) among them;
+    # zero numerators are how base_product uses it
     nums = [0 if zeros else num for num, _ in runs]
-    prods = [runs[0][1]] * len(runs) if shared else [prod for _, prod in runs]
+    prods = [prod for _, prod in runs] if shared is None else [shared[1] << shared[0]] * len(runs)
     want = oracle_positional(nums, prods)
-    assert _merge_runs(nums, prods[0] if shared else prods) == want
+    assert _merge_runs(nums, prods if shared is None else prods[0]) == want
 
 
 @given(qseqs())

@@ -3,6 +3,7 @@ defaults, checks, equality within one class, hashing, repr and
 immutability, as `dataclass(frozen=True)` defines them."""
 
 import dataclasses
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from cantorseries import (
     ShiftState,
     TailMin,
     block_description,
+    certify_rational,
     cofinite_value,
     convert_dual,
     digit_stream,
@@ -155,6 +157,115 @@ def test_shift_state_step_is_a_position():
     with pytest.raises(DomainError, match=r"^shift step must be an integer >= 0, got 1\.5$"):
         ShiftState(1.5, Fraction(1, 2))
     assert ShiftState(0, Fraction(1, 2)).step == 0
+
+
+# Valid keyword arguments for every public function, and every record
+# class with a check (a __post_init__), that has a parameter of record type
+# or of int or Rational type.  The records without a check are results the
+# package builds, and verify_certificate reports a certificate of any
+# fields as invalid_fields, so their fields are left out.
+Q23 = Periodic((2, 3))
+VALID_CALLS = {
+    "BlockDescription": dict(preperiod=DigitWord(()), block=DigitWord((1,))),
+    "CofiniteExpansion": dict(head=DigitWord((1,))),
+    "Constant": dict(base=10),
+    "DigitWord": dict(digits=(1, 0)),
+    "ShiftState": dict(step=0, value=Fraction(1, 2)),
+    "base_product": dict(Q=Q23, lo=1, hi=3),
+    "bases": dict(Q=Q23, count=3),
+    "block_description": dict(x=Fraction(1, 3), Q=Q23),
+    "certify_rational": dict(x=Fraction(1, 3), Q=Q23),
+    "cofinite_value": dict(cof=CofiniteExpansion(DigitWord((1,))), Q=Q23),
+    "convert_dual": dict(form=DigitWord((1, 0)), Q=Q23),
+    "digit_stream": dict(x=Fraction(1, 3), Q=Q23),
+    "dual_representation": dict(x=Fraction(1, 2), Q=Q23),
+    "enclosure": dict(word=DigitWord((1, 0)), Q=Q23),
+    "evaluate_finite": dict(word=DigitWord((1, 0)), Q=Q23),
+    "expand": dict(x=Fraction(1, 3), Q=Q23, count=3),
+    "fixed_point_digits": dict(Q=Q23, eps=0),
+    "iter_bases": dict(Q=Q23),
+    "local_value": dict(word=DigitWord((1, 0)), Q=Q23),
+    "q_at": dict(Q=Q23, k=1),
+    "reconstruct": dict(desc=BlockDescription(DigitWord(()), DigitWord((1, 0))), Q=Q23),
+    "regroup": dict(x=Fraction(1, 3), Q=Q23, breakpoints=(1, 2)),
+    "shift_constant_check": dict(x=Fraction(1, 3), Q=Q23),
+    "shift_step": dict(state=ShiftState(0, Fraction(1, 2)), q=3),
+    "shift_value": dict(x=Fraction(1, 3), Q=Q23, n=2),
+    "tail_min": dict(Q=Q23),
+    "validate_digits": dict(word=DigitWord((1, 0)), Q=Q23),
+    "verify_certificate": dict(x=Fraction(1, 3), Q=Q23, cert=certify_rational(Fraction(1, 3), Q23)),
+}
+RECORD_NAMES = {name for name in cantorseries.__all__ if hasattr(getattr(cantorseries, name), "__match_args__")}
+WRONG_OBJECTS = (object(), Enclosure(Fraction(0), Fraction(1)))
+NOT_INTS = (1.0, True, "1")
+
+
+def typed_parameters(name):
+    """(parameter, records, numeric) for each parameter of the public
+    callable `name` whose annotation names a record class (records, in
+    order) or int or Rational (numeric)."""
+    for param in inspect.signature(getattr(cantorseries, name)).parameters.values():
+        members = param.annotation.split(" | ")
+        records = [m for m in members if m in RECORD_NAMES]
+        numeric = not {"int", "Rational"}.isdisjoint(members)
+        if records or numeric:
+            yield param.name, records, numeric
+
+
+def checked_callables():
+    """The public functions, and record classes with a check, that have a
+    record, int or Rational parameter."""
+    for name in cantorseries.__all__:
+        obj = getattr(cantorseries, name)
+        if inspect.isfunction(obj) or isinstance(obj, type) and hasattr(obj, "__post_init__"):
+            if any(typed_parameters(name)):
+                yield name
+
+
+def call(name, kwargs):
+    """The public callable `name` on kwargs, run up to its first item when it
+    is a generator, whose checks run only then."""
+    out = getattr(cantorseries, name)(**kwargs)
+    return next(out) if inspect.isgenerator(out) else out
+
+
+# (callable, parameter, bad value, records of the parameter, whether it is numeric)
+TYPE_CASES = [
+    (name, param, bad, records, numeric)
+    for name in VALID_CALLS
+    for param, records, numeric in typed_parameters(name)
+    for bad in (WRONG_OBJECTS if records else ()) + (NOT_INTS if numeric else ())
+]
+
+
+def test_the_type_table_names_every_record_int_and_rational_parameter():
+    found = {(name, param) for name in checked_callables() for param, *_ in typed_parameters(name)}
+    assert {(name, param) for name, param, *_ in TYPE_CASES} == found
+
+
+@pytest.mark.parametrize("name", VALID_CALLS)
+def test_the_type_table_calls_are_valid(name):
+    call(name, VALID_CALLS[name])
+
+
+@pytest.mark.parametrize(
+    "name,param,bad,records,numeric", TYPE_CASES, ids=[f"{n}-{p}-{b!r}" for n, p, b, *_ in TYPE_CASES]
+)
+def test_every_typed_parameter_rejects_another_type(name, param, bad, records, numeric):
+    # A record-typed parameter raises TypeError("not a R: ..."); one that
+    # also takes a value, and every int or Rational parameter, checks its
+    # argument as a value (DomainError).  verify_certificate is total and
+    # reports the field or value instead.
+    kwargs = {**VALID_CALLS[name], param: bad}
+    if name == "verify_certificate":
+        assert call(name, kwargs).reason == ("value_out_of_range" if param == "x" else "invalid_fields")
+    elif numeric:
+        with pytest.raises(DomainError):
+            call(name, kwargs)
+    else:
+        expected = f"^not a {records[0]}: " if len(records) == 1 else f"^expected {' or '.join(records)}"
+        with pytest.raises(TypeError, match=expected):
+            call(name, kwargs)
 
 
 def test_post_init_normalises_sequences_to_tuples():
