@@ -76,6 +76,7 @@ class ShiftState:
 
     def __post_init__(self) -> None:
         _check_int(self.step, 0, "shift step")
+        _unit_value(self.value, "shift value")
 
 
 @_record
@@ -143,8 +144,10 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     digits are worth N/P in the radix system that begins at `start`.
 
     This is the fold of one multiply per digit, for every word that
-    _word_positional does not fold at C level.  A word of at most _RUN
-    digits is folded directly.  On a list-backed Q with a period of
+    _word_positional does not fold at C level: words of at most _RUN
+    digits, rule sequences, periods of more than _RUN bases or of product
+    W > 256, and digits of 256 or more.  A word of at most _RUN digits is
+    folded directly.  On a list-backed Q with a period of
     L <= _RUN bases, the digits past the prefix go in runs of
     R = L * ceil(_RUN / L): every run starts at the same period phase, so
     all have the same bases and one product W.  Each run folds only its
@@ -225,8 +228,8 @@ def validate_digits(word: DigitWord, Q: QSequence) -> None:
 def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
     """validate_digits(word, Q), then _positional(word.digits, Q, word.start),
     both from one bytes(digits) where the packed form applies: for a
-    period product of at most 36, _packing.fold reads the whole periods at
-    C level."""
+    period product of at most 256, _packing.fold reads the whole periods
+    at C level."""
     if (packed := _packed(word, Q)) is None:
         return _positional(word.digits, Q, word.start)
     return _fold_packed(word.digits, Q, word.start, packed)
@@ -245,19 +248,12 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
 
 
-# expand hands counts of at least _LANES_FROM digits per 64 bits of lane
-# width of a v of at most _LANE_BITS bits on a list-backed Q to
+# expand hands counts of at least _LANES_FROM digits (doubled at 48, 56 and
+# 64 bits of v) of a v of at most _LANE_BITS bits on a list-backed Q to
 # _packing.expand_lanes (see expand).
 _LANES_FROM = 256
-_LANE_BITS = 32
+_LANE_BITS = 64
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
-
-
-def _lane_bits(v: int) -> int:
-    """The width B of one lane of _packing.expand_lanes for v: the whole
-    bytes that hold 2N + 1 bits, N = l + max(l, 8) for l = bits(v)."""
-    l = v.bit_length()
-    return 8 * -(-(2 * (l + max(l, 8)) + 1) // 8)
 
 
 def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, ShiftState]:
@@ -267,14 +263,15 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     zero tail) representation whenever two exist.  _digits makes them, one
     step per digit, unless v = x.denominator has at most _LANE_BITS bits,
     Q is list-backed with a period of at most _RUN bases, all at most 256,
-    and count is at least _LANES_FROM * max(B, 64) / 64 for the lane width
-    B of v (_lane_bits): there _packing.expand_lanes steps up to 1024
-    periods at once, each in a lane of one int.  The n + m digits of
-    12345/30011 took 0.28 to 0.34 times the loop's time (30,010 digits on
-    const:10 in 0.94 ms, against 3.41 ms).  The lanes overtake the loop
-    near 256 digits up to 15 bits of v (B <= 64) and near 4 * B digits at
-    20 to 28 bits; at 32 bits near 384 digits, before 4 * B = 544, and at
-    64 bits they are no faster on 30,000 (Python 3.11.7, shared VM).
+    and count is at least _LANES_FROM, doubled at 48, 56 and 64 bits of
+    v: there _packing.expand_lanes steps up to 1024 lanes of one int, a
+    run of bases of product at most 256 per step.  The n + m digits of
+    12345/30011 took 0.13 to 0.22 times the loop's time (30,010 digits on
+    const:2 in 0.35 ms, against 2.8 ms).  The lanes overtake the loop by
+    256 digits up to 47 bits of v on the benchmark's list-backed
+    sequences; const:10, the slowest on them, breaks even near 384 to 512
+    digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7, shared
+    VM).
     """
     global _expand_lanes
     x = _unit_value(x)
@@ -282,7 +279,7 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     qs = iter_bases(Q)  # a Q that is not a QSequence raises TypeError before a bad count
     if _check_int(count, 1, "digit count") < _LANES_FROM or not (
         isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
-        and 64 * count >= _LANES_FROM * _lane_bits(v)
+        and count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5
     ):
         digits, u = _digits(u, v, _take(qs, count))
     else:

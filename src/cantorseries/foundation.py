@@ -315,15 +315,19 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
     are multiplied out; the whole periods in between are one power of the
     period product W = 2**a * r, r odd, taken as r**cycles << a * cycles
     (10**30010 in 0.43 ms, against 0.73 ms as a power of 10, Python
-    3.11.7).  More than _RUN other factors go in runs of _RUN, whose
+    3.11.7), unless it has at most _RUN bits, where the split costs more
+    than it saves.  More than _RUN other factors go in runs of _RUN, whose
     products _merge_runs multiplies in pairs counted from the right, with
     zero numerators, so m rule bases cost O(M(m) log m).  A range or
     product too large for _sized_split raises DomainError before any
     multiply.
     """
     factors, size, whole, cycles = _sized_split(Q, lo, hi)
-    a = (whole & -whole).bit_length() - 1
-    power = (whole >> a) ** cycles << a * cycles
+    if cycles * whole.bit_length() <= _RUN:
+        power = whole**cycles
+    else:
+        a = (whole & -whole).bit_length() - 1
+        power = (whole >> a) ** cycles << a * cycles
     if size <= _RUN:
         return math.prod(factors) * power
     prods = [math.prod(factors[i : i + _RUN]) for i in range(0, size, _RUN)]

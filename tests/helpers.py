@@ -290,13 +290,21 @@ def positional_cases(draw):
 
 # Periods for the byte-packed check and fold: products W from 2 to 36, the
 # last that int(text, W) reads (36 as periodic:6,6 and as const:36), powers
-# of two (read in one piece), and past it W = 37 and 70, a 64-base period
-# (the longest that is packed) and a 65-base one, and bases of 256 and more,
-# whose digits do not fit a byte.
+# of two (read in one piece), and past it the lane-pair merge: W = 37, 64,
+# 70, 255 and 256 (as periodic:16,16 and const:256), a 64-base period (the
+# longest that is packed) and a 65-base one; then W = 257 and past it, which
+# fold one multiply per digit, and bases of 256 and more, whose digits do
+# not fit a byte.
 PACKED_PERIODS = [
     (2,), (3,), (10,), (36,), (6, 6), (2, 3), (3, 2), (2, 2, 3, 3), (2, 2, 2, 2, 2), (4, 8), (35,),
-    (37,), (5, 2, 7), (2,) * 63 + (3,), (2,) * 65, (256,), (300, 2), (2, 255),
+    (37,), (64,), (2, 4, 8), (5, 2, 7), (255,), (3, 5, 17), (16, 16), (256,), (2,) * 63 + (3,), (2,) * 65,
+    (257,), (300, 2), (2, 255),
 ]
+# Whole periods past the prefix: 0, 1, 2, and 2**k - 1 and 2**k + 1 around
+# each level of the lane-pair merge (lanes of 2**k digits, up to 64) and of
+# the merge of its 64-digit chunks; 255 to 257 and 511 to 513 around one and
+# two chunks of 256 base-W digits of int(text, W).
+PACKED_COUNTS = [0, 1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 64, 65, 127, 129, 255, 256, 257, 511, 512, 513]
 
 
 @st.composite
@@ -307,9 +315,8 @@ def packed_cases(draw, period):
 
     The prefix is empty, short, or longer than 64 bases.  Starts fall on
     and off every period phase, inside the prefix, on its last base and
-    past it.  The whole periods past the prefix number 0, 1, 63, or one
-    less, one more or the same as one or two chunks of 256 base-W digits,
-    and a partial last period of any length follows.  The bad digit sits
+    past it.  The whole periods past the prefix number one of
+    PACKED_COUNTS, and a partial last period of any length follows.  The bad digit sits
     at any position, so at any period phase, or on an edge: the first or
     last digit, or either side of the prefix's end.  It is the base itself,
     the base plus one, 255, 256 or more.
@@ -320,7 +327,7 @@ def packed_cases(draw, period):
     L = len(period)
     start = draw(st.integers(min_value=1, max_value=len(prefix) + 2 * L + 1))
     over_prefix = max(0, len(prefix) - start + 1)
-    periods = draw(st.sampled_from([0, 1, 63, 255, 256, 257, 511, 512, 513]))
+    periods = draw(st.sampled_from(PACKED_COUNTS))
     length = over_prefix + periods * L + draw(st.integers(min_value=0, max_value=L - 1))
     literal = (list(prefix) + list(period) * -(-(start + length) // L))[: start - 1 + length]
     qs = literal[start - 1 :]
@@ -335,21 +342,23 @@ def packed_cases(draw, period):
 
 
 # Periods for expand's lane path: bases up to 256 (a digit is a byte) and
-# periods up to 64 bases take it; 257 and a 65-base period fall back.
+# periods up to 64 bases take it; 257 and a 65-base period fall back.  Runs
+# of bases whose product is at most 256 step together: several periods a
+# run (const:2, 2,3), runs that reach 256 exactly (256; 2,128), runs that
+# pass it at the next base (16,17; six 3s, a run of five and one of one, so
+# a span is not a whole number of runs), and runs of one base.
 LANE_PERIODS = [
     (2,), (10,), (255,), (256,), (2, 3), (5, 2, 7), (256, 255, 2), (3, 2, 2), tuple(range(193, 257)),
-    (257,), (2, 257), tuple(range(2, 67)),
+    (2, 128), (16, 17), (3,) * 6, (257,), (2, 257), tuple(range(2, 67)),
 ]
 # The least count that takes the lanes for any v, the most lanes, and the widest v.
-LANES_FROM, LANES, LANE_BITS = 256, 1024, 32
+LANES_FROM, LANES, LANE_BITS = 256, 1024, 64
 
 
 def lanes_from(v):
-    """The least count that takes the lanes for v: 4 digits per bit of the
-    lane width, the whole bytes that hold 2N + 1 bits for
-    N = bits(v) + max(bits(v), 8), and never fewer than LANES_FROM."""
-    l = v.bit_length()
-    return max(LANES_FROM, 4 * 8 * math.ceil((2 * (l + max(l, 8)) + 1) / 8))
+    """The least count that takes the lanes for v: LANES_FROM up to 47
+    bits, doubled at 48, 56 and 64 bits."""
+    return LANES_FROM * 2 ** max(0, (v.bit_length() - 40) // 8)
 
 
 @st.composite
@@ -358,25 +367,29 @@ def lane_cases(draw, period):
 
     The prefix is empty, 1 to 3 bases (mostly not a whole number of
     periods, so a phase counted from position 1 would be wrong) or 65 to
-    80.  x = u/v has v of 1 (x = 0), a few
-    bits, LANE_BITS bits exactly, one bit more, 64 bits (2^64 - 59) or 65
-    (2^64 + 13), or a product of period bases, whose expansion ends in
-    zeros from some digit on.  The count is the lane threshold for any v
-    or for this v, one less or one more; or it leaves K whole periods past
-    the prefix with K around one lane each (LANES) or two periods a lane,
-    plus a partial last period.
+    80.  x = u/v has v of 1 (x = 0), any width up to LANE_BITS bits,
+    either side of a width where the lane threshold doubles (47/48, 55/56,
+    63/64 bits), one bit past LANE_BITS, or a product of period bases,
+    whose expansion ends in zeros from some digit on.  The count is the
+    lane threshold for any v or for this v, one less or one more; or it
+    leaves K whole periods past the prefix with K around one period a lane
+    (LANES), two, or g and g + 1 for the g periods one run can hold, plus
+    a partial last period.
     """
     prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
                             st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
     Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
     v = draw(st.one_of(
-        st.sampled_from([1, 2**LANE_BITS - 5, 2**LANE_BITS + 15, 2**64 - 59, 2**64 + 13]),
+        st.sampled_from([1, 2**47 - 115, 2**47 + 5, 2**55 - 55, 2**55 + 81,
+                         2**63 - 25, 2**63 + 29, 2**LANE_BITS - 59, 2**LANE_BITS + 13]),
         st.integers(min_value=2, max_value=2**LANE_BITS),
         st.lists(st.sampled_from(period), min_size=1, max_size=6).map(math.prod),
     ))
     x = Fraction(draw(st.integers(min_value=0, max_value=v - 1)), v)
     L = len(period)
-    K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1]))
+    g = max(k for k in range(1, 9) if math.prod(period) ** k <= 256 or k == 1)
+    K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES, LANES + 1, 2 * LANES - 1, 2 * LANES + 1,
+                              g * LANES, g * LANES + 1, (g + 1) * LANES + 1]))
     past = K * L + draw(st.integers(min_value=0, max_value=L - 1))
     least = lanes_from(v)
     count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1,

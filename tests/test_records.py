@@ -123,6 +123,9 @@ def test_defaults():
         lambda: ShiftState(1.5, Fraction(1, 2)),
         lambda: ShiftState(True, Fraction(1, 2)),
         lambda: ShiftState(-1, Fraction(1, 2)),
+        lambda: ShiftState(0, 1.5),
+        lambda: ShiftState(0, True),
+        lambda: ShiftState(0, Fraction(3, 2)),
     ],
 )
 def test_post_init_checks_raise_domain_errors(bad):
@@ -157,6 +160,14 @@ def test_shift_state_step_is_a_position():
     with pytest.raises(DomainError, match=r"^shift step must be an integer >= 0, got 1\.5$"):
         ShiftState(1.5, Fraction(1, 2))
     assert ShiftState(0, Fraction(1, 2)).step == 0
+
+
+def test_shift_state_value_is_checked_as_shift_step_checks_it():
+    with pytest.raises(DomainError, match=r"^shift value must be an int or a Fraction, got 1\.5$"):
+        ShiftState(0, 1.5)
+    with pytest.raises(DomainError, match=r"^shift value must lie in \[0, 1\), got 3/2$"):
+        ShiftState(0, Fraction(3, 2))
+    assert ShiftState(0, 0).value == 0
 
 
 # Valid keyword arguments for every public function, and every record
@@ -203,11 +214,11 @@ NOT_INTS = (1.0, True, "1")
 def typed_parameters(name):
     """(parameter, records, numeric) for each parameter of the public
     callable `name` whose annotation names a record class (records, in
-    order) or int or Rational (numeric)."""
+    order) or int, Rational or Fraction (numeric)."""
     for param in inspect.signature(getattr(cantorseries, name)).parameters.values():
         members = param.annotation.split(" | ")
         records = [m for m in members if m in RECORD_NAMES]
-        numeric = not {"int", "Rational"}.isdisjoint(members)
+        numeric = not {"int", "Rational", "Fraction"}.isdisjoint(members)
         if records or numeric:
             yield param.name, records, numeric
 
