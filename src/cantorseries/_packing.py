@@ -19,7 +19,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .foundation import ListBacked, _RUN, _merge_runs
+from .foundation import ListBacked, _RUN, _merge_runs, _span
 from .expansion import _digits, _fold, _positional
 
 # The bytes below q are _BYTES[:q]: deleting them from the digits of base q
@@ -50,14 +50,12 @@ def pack(digits: Sequence[int], Q: ListBacked, start: int) -> tuple[int, bytes, 
     nothing (0.07 ms for 30,010 digits, against 0.9 ms for max(bs[j::L]),
     Python 3.11.7).
     """
-    pre, per = Q.prefix, Q.period
-    head = min(len(digits), max(0, len(pre) - start + 1))
+    head = min(len(digits), max(0, len(Q.prefix) - start + 1))
     try:
         bs = bytes(digits[head:])
     except ValueError:  # a digit of 256 or more
         return None
-    phase = (start + head - len(pre) - 1) % len(per)
-    run = per[phase:] + per[:phase]
+    run = _span(Q, start + head, len(Q.period))
     if any(bs[j :: len(run)].translate(None, _BYTES[:q]) for j, q in enumerate(run)):
         return None
     return head, bs, run

@@ -29,10 +29,10 @@ from .foundation import (
     _merge_runs,
     _of,
     _record,
-    _take,
+    _sequence,
+    _span,
     _unchecked,
     iter_bases,
-    q_at,
 )
 
 __all__ = [
@@ -143,24 +143,22 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    This is the fold of one multiply per digit, for every word that
-    _word_positional does not fold at C level: words of at most _RUN
-    digits, rule sequences, periods of more than _RUN bases or of product
-    W > 256, and digits of 256 or more.  A word of at most _RUN digits is
-    folded directly.  On a list-backed Q with a period of
-    L <= _RUN bases, the digits past the prefix go in runs of
+    This is the fold of one multiply per digit, for the words of more than
+    _RUN digits that _word_positional does not fold at C level (rule
+    sequences, periods of more than _RUN bases or of product W > 256, and
+    digits of 256 or more), and for the prefix part of those it does.  On
+    a list-backed Q with a period of L <= _RUN bases, the digits past the
+    prefix go in runs of
     R = L * ceil(_RUN / L): every run starts at the same period phase, so
     all have the same bases and one product W.  Each run folds only its
     numerator, and _merge_runs merges them over W alone.  The prefix part
     (a call of its own) and a last partial run (folded by _fold) then each
     join that result once.  Otherwise (rule sequences, longer periods,
-    fewer than R digits past the prefix) runs of _RUN digits fold (N, P)
-    pairs, and _merge_runs merges them with their products.  Either way
-    the cost is O(M(m) log m).
+    fewer than R digits past the prefix) runs of _RUN digits, and at least
+    one, fold (N, P) pairs, and _merge_runs merges them with their
+    products.  Either way the cost is O(M(m) log m).
     """
     m = len(digits)
-    if m <= _RUN:
-        return _fold(zip(iter_bases(Q, start), digits))
     if isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
         pre, per = Q.prefix, Q.period
         head = min(m, max(0, len(pre) - start + 1))  # digits over the prefix
@@ -168,8 +166,7 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
         size = reps * len(per)
         whole, tail = divmod(m - head, size)
         if whole:
-            phase = (start + head - len(pre) - 1) % len(per)
-            run = (per[phase:] + per[:phase]) * reps
+            run = _span(Q, start + head, size)
             nums = []
             for i in range(head, m - tail, size):
                 num = 0
@@ -185,7 +182,7 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
                 num, prod = head_num * prod + num, head_prod * prod
             return num, prod
     pairs = zip(iter_bases(Q, start), digits)
-    nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, m, _RUN)]))
+    nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, max(m, 1), _RUN)]))
     return _merge_runs(nums, prods)
 
 
@@ -211,9 +208,10 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[int, bytes, tuple[int, ...]]
             from ._packing import fold as _fold_packed, pack as _pack
         if (packed := _pack(digits, Q, start)) is not None:
             digits = digits[: packed[0]]
-    k = next(compress(range(start, start + len(digits)), map(ge, digits, iter_bases(Q, start))), None)
+    qs = _span(_sequence(Q), start, len(digits))
+    k = next(compress(range(len(digits)), map(ge, digits, qs)), None)
     if k is not None:
-        raise DomainError(f"digit {digits[k - start]} at position {k} out of range for base {q_at(Q, k)}")
+        raise DomainError(f"digit {digits[k]} at position {start + k} out of range for base {qs[k]}")
     return packed
 
 
@@ -226,13 +224,23 @@ def validate_digits(word: DigitWord, Q: QSequence) -> None:
 
 
 def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
-    """validate_digits(word, Q), then _positional(word.digits, Q, word.start),
-    both from one bytes(digits) where the packed form applies: for a
-    period product of at most 256, _packing.fold reads the whole periods
-    at C level."""
+    """validate_digits(word, Q), then _positional(word.digits, Q, word.start):
+    for a word of at most _RUN digits, one loop over its _span (a bad digit
+    goes to _packed, which names the first); for a longer one, both from
+    one bytes(digits) where the packed form applies: for a period product
+    of at most 256, _packing.fold reads the whole periods at C level."""
+    digits, start = _of(DigitWord, word).digits, word.start
+    if len(digits) <= _RUN:
+        qs = _span(_sequence(Q), start, len(digits))
+        num = 0
+        for q, d in zip(qs, digits):
+            if d >= q:
+                _packed(word, Q)  # names the first bad digit
+            num = num * q + d
+        return num, math.prod(qs)
     if (packed := _packed(word, Q)) is None:
-        return _positional(word.digits, Q, word.start)
-    return _fold_packed(word.digits, Q, word.start, packed)
+        return _positional(digits, Q, start)
+    return _fold_packed(digits, Q, start, packed)
 
 
 def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
@@ -261,27 +269,27 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  _digits makes them, one
-    step per digit, unless v = x.denominator has at most _LANE_BITS bits,
-    Q is list-backed with a period of at most _RUN bases, all at most 256,
-    and count is at least _LANES_FROM, doubled at 48, 56 and 64 bits of
-    v: there _packing.expand_lanes steps up to 1024 lanes of one int, a
-    run of bases of product at most 256 per step.  The n + m digits of
-    12345/30011 took 0.13 to 0.22 times the loop's time (30,010 digits on
-    const:2 in 0.35 ms, against 2.8 ms).  The lanes overtake the loop by
-    256 digits up to 47 bits of v on the benchmark's list-backed
-    sequences; const:10, the slowest on them, breaks even near 384 to 512
-    digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7, shared
-    VM).
+    step per digit over the _span of count bases, unless v = x.denominator
+    has at most _LANE_BITS bits, Q is list-backed with a period of at most
+    _RUN bases, all at most 256, and count is at least _LANES_FROM, doubled
+    at 48, 56 and 64 bits of v: there _packing.expand_lanes steps up to
+    1024 lanes of one int, a run of bases of product at most 256 per step.
+    The n + m digits of 12345/30011 took 0.13 to 0.22 times the loop's time
+    (30,010 digits on const:2 in 0.35 ms, against 2.8 ms).  The lanes
+    overtake the loop by 256 digits up to 47 bits of v on the benchmark's
+    list-backed sequences; const:10, the slowest on them, breaks even near
+    384 to 512 digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7,
+    shared VM).
     """
     global _expand_lanes
     x = _unit_value(x)
     u, v = x.numerator, x.denominator
-    qs = iter_bases(Q)  # a Q that is not a QSequence raises TypeError before a bad count
+    _sequence(Q)  # a Q that is not a QSequence raises TypeError before a bad count
     if _check_int(count, 1, "digit count") < _LANES_FROM or not (
         isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
         and count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5
     ):
-        digits, u = _digits(u, v, _take(qs, count))
+        digits, u = _digits(u, v, _span(Q, 1, _check_count(count)))
     else:
         if _expand_lanes is None:
             from ._packing import expand_lanes as _expand_lanes

@@ -47,7 +47,7 @@ def _is_int(value: object) -> bool:
 
 def _check_int(value: object, lowest: int, what: str) -> int:
     """Return value if it is an int (never a bool) >= lowest; else raise DomainError."""
-    if not _is_int(value) or value < lowest:
+    if value.__class__ is not int and not _is_int(value) or value < lowest:
         raise DomainError(f"{what} must be an integer >= {lowest}, got {value!r}")
     return value
 
@@ -191,18 +191,21 @@ class Rule:
 QSequence = ListBacked | Rule
 
 
+def _sequence(Q: object) -> QSequence:
+    """Q if it is a QSequence; else TypeError."""
+    if not isinstance(Q, QSequence):
+        raise TypeError(f"not a QSequence: {Q!r}")
+    return Q
+
+
 def iter_bases(Q: QSequence, start: int = 1) -> Iterator[int]:
     """Endless iterator over the bases q_start, q_{start+1}, ..."""
     _check_int(start, 1, "base position")
-    if isinstance(Q, Rule):
+    if isinstance(_sequence(Q), Rule):
         return itertools.count(2 * start + 1, 2)
-    if not isinstance(Q, ListBacked):
-        raise TypeError(f"not a QSequence: {Q!r}")
-    pre, per = Q.prefix, Q.period
-    if start <= len(pre):
-        return itertools.chain(pre[start - 1 :], itertools.cycle(per))
-    phase = (start - len(pre) - 1) % len(per)
-    return itertools.cycle(per[phase:] + per[:phase])
+    if start <= len(Q.prefix):
+        return itertools.chain(Q.prefix[start - 1 :], itertools.cycle(Q.period))
+    return itertools.cycle(_span(Q, start, len(Q.period)))
 
 
 def _check_count(count: int) -> int:
@@ -210,11 +213,6 @@ def _check_count(count: int) -> int:
     if count > sys.maxsize:
         raise DomainError(f"count {count} is too large to materialise")
     return count
-
-
-def _take(it: Iterator, count: int) -> Iterator:
-    """The first `count` items of `it`, under the _check_count guard."""
-    return itertools.islice(it, _check_count(count))
 
 
 _RUN = 64  # bases handled one at a time within a run; whole runs are merged or stepped
@@ -256,14 +254,29 @@ def _merge_runs(nums: list[int], prods: list[int] | int) -> tuple[int, int]:
     return nums[0], odd**count << a * count if shared else level[0]
 
 
-def q_at(Q: QSequence, k: int) -> int:
-    """Base q_k at 1-based position k."""
-    return next(iter_bases(Q, k))
+def _span(Q: QSequence, lo: int, count: int) -> Sequence[int]:
+    """The bases q_lo, ..., q_{lo+count-1} (none for count <= 0): a range on
+    rule:odd, else the prefix part and a slice of repeated periods (at most
+    count + L items).  It checks nothing: Q is a QSequence, lo an int >= 1."""
+    if isinstance(Q, Rule):
+        return range(2 * lo + 1, 2 * (lo + count), 2)
+    pre, per = Q.prefix, Q.period
+    if lo > len(pre):
+        phase = (lo - len(pre) - 1) % len(per)
+        return (per * -(-(phase + count) // len(per)))[phase : phase + count]
+    head = pre[lo - 1 : lo - 1 + count]
+    return head + _span(Q, len(pre) + 1, count - len(head))
 
 
 def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     """The bases q_start, ..., q_{start+count-1}."""
-    return tuple(_take(iter_bases(Q, start), _check_int(count, 0, "base count")))
+    _check_int(start, 1, "base position")
+    return tuple(_span(_sequence(Q), start, _check_count(_check_int(count, 0, "base count"))))
+
+
+def q_at(Q: QSequence, k: int) -> int:
+    """Base q_k at 1-based position k."""
+    return bases(Q, 1, k)[0]
 
 
 def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int, int]:
@@ -313,21 +326,20 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
 
     For list-backed sequences only the prefix part and one partial period
     are multiplied out; the whole periods in between are one power of the
-    period product W = 2**a * r, r odd, taken as r**cycles << a * cycles
-    (10**30010 in 0.43 ms, against 0.73 ms as a power of 10, Python
-    3.11.7), unless it has at most _RUN bits, where the split costs more
-    than it saves.  More than _RUN other factors go in runs of _RUN, whose
-    products _merge_runs multiplies in pairs counted from the right, with
-    zero numerators, so m rule bases cost O(M(m) log m).  A range or
-    product too large for _sized_split raises DomainError before any
-    multiply.
+    period product W.  A range of at most _RUN bases takes it plainly, as
+    W**cycles has at most _RUN * bits(W) bits.  A longer one takes it as
+    r**cycles << a * cycles for W = 2**a * r, r odd (10**30010 in 0.43 ms,
+    against 0.73 ms as a power of 10, Python 3.11.7).  More than _RUN
+    other factors go in runs of _RUN, whose products _merge_runs multiplies
+    in pairs counted from the right, with zero numerators, so m rule bases
+    cost O(M(m) log m).  A range or product too large for _sized_split
+    raises DomainError before any multiply.
     """
     factors, size, whole, cycles = _sized_split(Q, lo, hi)
-    if cycles * whole.bit_length() <= _RUN:
-        power = whole**cycles
-    else:
-        a = (whole & -whole).bit_length() - 1
-        power = (whole >> a) ** cycles << a * cycles
+    if hi - lo < _RUN:
+        return math.prod(factors) * whole**cycles
+    a = (whole & -whole).bit_length() - 1
+    power = (whole >> a) ** cycles << a * cycles
     if size <= _RUN:
         return math.prod(factors) * power
     prods = [math.prod(factors[i : i + _RUN]) for i in range(0, size, _RUN)]
@@ -418,10 +430,8 @@ def format_qseq(Q: QSequence) -> str:
 
     A list-backed value takes the shortest spelling that describes it.
     """
-    if isinstance(Q, Rule):
+    if isinstance(_sequence(Q), Rule):
         return f"rule:{Q.rule_id}"
-    if not isinstance(Q, ListBacked):
-        raise TypeError(f"not a QSequence: {Q!r}")
     period = ",".join(map(str, Q.period))
     if Q.prefix:
         return "prefix:" + ",".join(map(str, Q.prefix)) + ";" + period

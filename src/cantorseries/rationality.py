@@ -32,6 +32,7 @@ from .foundation import (
     _is_int,
     _of,
     _record,
+    _sequence,
     _sized_split,
     _unchecked,
     base_product,
@@ -185,8 +186,7 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     min(n, v) small modular multiplies, as any v consecutive bases of
     rule:odd have the same product mod v.
     """
-    if not isinstance(Q, QSequence):
-        raise TypeError(f"not a QSequence: {Q!r}")
+    _sequence(Q)
     if not isinstance(cert, RationalityCertificate):
         return CertificateCheck(False, "invalid_fields", False, False)
     n, m, sigma, product = cert.n, cert.m, cert.sigma_value, cert.block_product

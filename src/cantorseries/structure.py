@@ -20,12 +20,12 @@ from .foundation import (
     ListBacked,
     QSequence,
     Rational,
-    Rule,
     _base_product_mod,
     _check_count,
     _check_int,
     _of,
     _record,
+    _sequence,
     _unchecked,
     base_product,
     bases,
@@ -175,10 +175,8 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
         raise DomainError("dual representation is defined on (0, 1), got 0")
     _check_int(bound, 1, "search bound")
     r = x.denominator
-    if isinstance(Q, ListBacked):
+    if isinstance(_sequence(Q), ListBacked):
         top, exhausted = len(Q.prefix) + len(Q.period) * r.bit_length(), DualRepresentationReport("no")
-    elif not isinstance(Q, Rule):
-        raise TypeError(f"not a QSequence: {Q!r}")
     elif r % 2:
         top, exhausted = bound, DualRepresentationReport("undecided", bound=bound)
     else:

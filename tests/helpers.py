@@ -395,3 +395,53 @@ def lane_cases(draw, period):
     count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1,
                                   len(prefix) + past]))
     return x, Q, max(count, 1)
+
+
+@st.composite
+def span_cases(draw):
+    """(Q, base, lo, count) for runs of up to 130 bases: base(k) is q_k,
+    read from the constructor arguments alone (or the rule's formula).
+
+    Q has a prefix of 0-5 bases and a period of 1-70, or is rule:odd.  lo
+    falls inside the prefix, on its last base or the first after it, or
+    past it at any period phase, up to a million periods on.
+    """
+    count = draw(st.integers(min_value=0, max_value=130))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return Rule("odd"), lambda k: 2 * k + 1, draw(st.one_of(st.integers(1, 200), st.integers(10**6, 10**6 + 200))), count
+    prefix = tuple(draw(st.lists(base_entries(), max_size=5)))
+    period = tuple(draw(st.lists(base_entries(), min_size=1, max_size=70)))
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    edge, L = len(prefix), len(period)
+    lo = draw(st.one_of(
+        st.integers(min_value=1, max_value=max(edge, 1)),
+        st.sampled_from([max(edge, 1), edge + 1]),
+        st.builds(lambda phase, whole: edge + 1 + phase + L * whole,
+                  st.integers(min_value=0, max_value=L - 1), st.sampled_from([0, 1, 3, 10**6])),
+    ))
+
+    def base(k):
+        return prefix[k - 1] if k <= edge else period[(k - edge - 1) % L]
+
+    return Q, base, lo, count
+
+
+# Digits out of range for a base q below 255, as functions of q: the base
+# itself, one past it, the largest byte, the least value past a byte, and
+# one far past every base the tests use.
+BAD_DIGITS = [lambda q: q, lambda q: q + 1, lambda q: 255, lambda q: 256, lambda q: 10**6]
+
+
+@st.composite
+def bad_short_words(draw):
+    """(Q, literal bases from position 1, start, digits) for a word of 1-64
+    digits at a start on a prefix of 1-4 bases or past it, in range but
+    for one digit, at any position, drawn from BAD_DIGITS (every base up
+    to position 72 is below 255)."""
+    Q, literal = draw(sequences_with_literal_bases(reach=80))
+    start = draw(st.integers(min_value=1, max_value=8))
+    qs = literal[start - 1 : start - 1 + draw(st.integers(min_value=1, max_value=64))]
+    digits = [draw(st.integers(min_value=0, max_value=q - 1)) for q in qs]
+    at = draw(st.integers(min_value=0, max_value=len(qs) - 1))
+    digits[at] = draw(st.sampled_from(BAD_DIGITS))(qs[at])
+    return Q, literal, start, tuple(digits)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,51 @@ def test_list_backed_products_too_long_to_build_are_domain_errors(Q):
     # whole ** cycles over 10**20 bases would exhaust memory, not fail fast
     with pytest.raises(DomainError, match="too large"):
         base_product(Q, 1, 10**20)
+
+
+def test_short_ranges_keep_the_size_bound():
+    # three bases of 2**21 + 1 bits: 3 * (2**21 + 1) bits pass the bound
+    # before any multiply, and verify_certificate reports the field
+    Q = Constant(2**2**21)
+    with pytest.raises(DomainError, match=f"exceed {_MAX_PRODUCT_BITS} bits"):
+        base_product(Q, 1, 3)
+    cert = RationalityCertificate(0, 3, Fraction(1, 3), 1)
+    assert verify_certificate(Fraction(1, 3), Q, cert).reason == "invalid_fields"
+
+
+def test_short_products_mod_v_hold_no_big_product():
+    # 32 bases of 2**20 + 1 bits: their product would take 4 MiB
+    Q = Constant(2**2**20)
+    tracemalloc.start()
+    try:
+        got = _base_product_mod(Q, 1, 32, 3 << 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pow(2, 32 << 20, 3 << 10)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Q: bases(Q, -1),
+        lambda Q: bases(Q, 1.5),
+        lambda Q: bases(Q, 10**20),
+        lambda Q: expand(Fraction(1, 3), Q, 0),
+        lambda Q: expand(Fraction(1, 3), Q, True),
+    ],
+)
+def test_a_non_sequence_is_named_before_a_bad_count(call):
+    with pytest.raises(TypeError, match="not a QSequence"):
+        call("const:10")
+
+
+def test_reconstruct_checks_the_preperiod_before_the_block():
+    desc = BlockDescription(DigitWord((0, 5)), DigitWord((9, 1), 3))
+    with pytest.raises(DomainError) as got:
+        reconstruct(desc, Periodic((2, 3)))
+    assert str(got.value) == "digit 5 at position 2 out of range for base 3"
 
 
 def test_products_past_the_size_bound_are_domain_errors():

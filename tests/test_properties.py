@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorseries import (
+    BlockDescription,
+    CofiniteExpansion,
     DigitWord,
     Periodic,
     PrefixPeriodic,
@@ -26,6 +28,7 @@ from cantorseries import (
     evaluate_finite,
     expand,
     format_qseq,
+    local_value,
     parse_qseq,
     q_at,
     reconstruct,
@@ -38,11 +41,12 @@ from cantorseries import (
 )
 from cantorseries import _packing, expansion
 from cantorseries.expansion import _packed, _positional, _word_positional
-from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs
+from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs, _span
 from helpers import (
     LANE_BITS,
     LANE_PERIODS,
     PACKED_PERIODS,
+    bad_short_words,
     base_entries,
     dual_cases,
     lane_cases,
@@ -59,6 +63,7 @@ from helpers import (
     proper_fractions,
     qseqs,
     sequences_with_literal_bases,
+    span_cases,
     wide_fractions,
 )
 
@@ -92,6 +97,58 @@ def test_sliced_products_match_the_listed_bases(prefix, period, odd, lo, count, 
     want = math.prod(bases(Q, count, lo))
     assert base_product(Q, lo, lo + count - 1) == want
     assert _base_product_mod(Q, lo, lo + count - 1, v) == want % v
+
+
+@settings(max_examples=300)
+@given(span_cases())
+def test_short_runs_match_one_base_at_a_time(case):
+    # _span and the base layer on runs of up to 130 bases, across the
+    # prefix edge, at every period phase and far out, against the bases
+    # written out one at a time and one multiply per base
+    Q, base, lo, count = case
+    want = tuple(base(k) for k in range(lo, lo + count))
+    assert tuple(_span(Q, lo, count)) == want
+    assert bases(Q, count, lo) == want
+    assert q_at(Q, lo) == base(lo)
+    product = 1
+    for q in want:
+        product *= q
+    assert base_product(Q, lo, lo + count - 1) == product
+    for v in (1, 2, 30, 1001, 2**70 + 1):
+        assert _base_product_mod(Q, lo, lo + count - 1, v) == product % v
+
+
+def _raises_exactly(message, call, *args):
+    with pytest.raises(DomainError) as got:
+        call(*args)
+    assert str(got.value) == message
+
+
+@settings(max_examples=200)
+@given(bad_short_words(), st.data())
+def test_short_words_name_the_first_bad_digit(case, data):
+    # Words of at most 64 digits are checked and folded in one loop; a bad
+    # digit must still give the message of one step per digit, from every
+    # entry point that folds a word.  From position 1 the digits meet other
+    # bases, so the first bad one may come earlier, or none be bad.
+    Q, literal, start, digits = case
+    bad = oracle_digit_error(digits, literal[start - 1 :], start)
+    for call in (validate_digits, local_value):
+        _raises_exactly(bad, call, DigitWord(digits, start), Q)
+    bad = oracle_digit_error(digits, literal, 1)
+    n = data.draw(st.integers(min_value=0, max_value=len(digits) - 1))
+    calls = [
+        (evaluate_finite, DigitWord(digits)),
+        (enclosure, DigitWord(digits)),
+        (cofinite_value, CofiniteExpansion(DigitWord(digits))),
+        # the preperiod is checked before the block
+        (reconstruct, BlockDescription(DigitWord(digits[:n]), DigitWord(digits[n:], n + 1))),
+    ]
+    if bad is None:
+        assert evaluate_finite(DigitWord(digits), Q) == Fraction(*oracle_positional(digits, literal))
+        return
+    for call, arg in calls:
+        _raises_exactly(bad, call, arg, Q)
 
 
 @settings(max_examples=300)
