@@ -5,18 +5,19 @@ expansion hands over a word of more than _RUN digits on a list-backed Q
 with a period of L <= _RUN bases, and an expansion of at least
 _LANES_FROM digits (more past 47 bits of v) on such a Q with every period
 base at most 256 and a denominator of at most _LANE_BITS bits.  Both
-paths keep one byte per digit or per period in a lane of one int (SWAR,
-L. Lamport, CACM 18 (1975), 471-475): the fold reads every period product
-up to 256 at C level, and the expansion steps every lane through a run
-of bases of product up to 256 at once.  The module is imported on first
-use, not with the package, so a cold call on short words does not
-compile it.
+paths keep one period's digits or residue in a lane of one int (SWAR,
+L. Lamport, CACM 18 (1975), 471-475): the fold reads every period at C
+level, in lanes of as many bytes as its product needs, and the expansion
+steps every lane through a run of bases of product up to 256 at once.
+The module is imported on first use, not with the package, so a cold
+call on short words does not compile it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from collections.abc import Callable, Sequence
 
 from .foundation import ListBacked, _RUN, _merge_runs, _span
@@ -39,62 +40,82 @@ _CHUNK = 256
 _LANES = 1024
 
 
-def pack(digits: Sequence[int], Q: ListBacked, start: int) -> tuple[int, bytes, tuple[int, ...]] | None:
-    """(head, bs, run) when the digits at positions start, start+1, ...
-    past Q's prefix are all below 256 and all below their bases; else None.
+def pack(digits: Sequence[int], Q: ListBacked, start: int) -> tuple[int, int, bytes, tuple[int, ...]] | None:
+    """(head, D, bs, run) when the digits at positions start, start+1, ...
+    past Q's prefix are all below their bases and below 2**16; else None.
 
     head is the number of digits over the prefix, which are not checked
-    here, bs the bytes of the digits after them, and run the period from
-    the phase of the first of those.  bs is checked one phase j at a time,
-    at C level: deleting the bytes below run[j] from bs[j::L] must leave
+    here, bs the big-endian bytes of the digits after them, D bytes a
+    digit, and run the period from the phase of the first of those.  The
+    check is at C level, one phase j at a time.  Digits all below 256 take
+    one byte each: deleting the bytes below run[j] from bs[j::L] must leave
     nothing (0.07 ms for 30,010 digits, against 0.9 ms for max(bs[j::L]),
-    Python 3.11.7).
+    Python 3.11.7).  Other digits take two bytes each, by struct.pack (0.4
+    ms for 30,010 digits, against 0.65 ms for an array('H')), once the
+    largest digit of each phase j is below run[j] (0.5 ms for 30,010
+    digits on const:1000, against 1.6 ms for one pass of compress over
+    every digit, Python 3.11.7).
     """
     head = min(len(digits), max(0, len(Q.prefix) - start + 1))
+    run = _span(Q, start + head, len(Q.period))
     try:
         bs = bytes(digits[head:])
     except ValueError:  # a digit of 256 or more
-        return None
-    run = _span(Q, start + head, len(Q.period))
+        if any(max(digits[head + j :: len(run)], default=0) >= q for j, q in enumerate(run)):
+            return None
+        try:
+            return head, 2, struct.pack(f">{len(digits) - head}H", *digits[head:]), run
+        except struct.error:  # a digit of 2**16 or more
+            return None
     if any(bs[j :: len(run)].translate(None, _BYTES[:q]) for j, q in enumerate(run)):
         return None
-    return head, bs, run
+    return head, 1, bs, run
 
 
-def fold(digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, bytes, tuple[int, ...]]) -> tuple[int, int]:
+def fold(
+    digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, int, bytes, tuple[int, ...]]
+) -> tuple[int, int]:
     """expansion._positional(digits, Q, start) for checked digits whose
     packed form pack gave.
 
-    When the period product W = run[0] * ... * run[L-1] is at most 256,
-    the K whole periods past the prefix fold at C level:
-    int.from_bytes(bs[j::L]) puts the digit of phase j of each period in a
-    byte lane of its own, and
-    sum_j int.from_bytes(bs[j::L]) * (run[j+1] * ... * run[L-1]) holds in
-    each lane that period's base-W digit, below W, so no lane carries.
-    Up to W = 36 those digits become text, and int(text, W) reads them in
-    chunks of _CHUNK (a power of two W in one piece, as int() is linear
-    there): on 30,000 digits that is 0.2 to 0.8 ms faster than the merge
-    below.  Past 36, neighbouring lanes merge inside the int, one level at a
-    time, as X = (X >> w & mask) * R + (X & mask): lanes of w bits that
-    hold n digits each become lanes of 2w bits that hold 2n, R = W**n, and
-    W**2n <= 2**2w keeps every lane apart.  Zero lanes on top pad K to
-    whole chunks, and after log2(_RUN) levels each lane is one chunk of
-    _RUN digits.  The chunks merge by _merge_runs over W**chunk; every
-    power of W = 2**a * r, r odd, is taken as _merge_runs takes its own,
-    an odd power and a shift: W**k = r**k << a * k.  A first, shorter
-    chunk, a partial last period (folded by _fold) and the prefix part
-    (by _positional) join that result once.  A larger W takes _positional.
+    The K whole periods past the prefix fold at C level, in lanes of B
+    bytes, the fewest that hold W - 1 for the period product
+    W = run[0] * ... * run[L-1].  Strided slice assignment puts the digit
+    of phase j of each period in the low bytes of a lane of its own, and
+    X = X * run[j] + (those lanes), for j = 0, ..., L-1, leaves in each
+    lane that period's base-W digit, below W, so no lane carries; each step
+    multiplies X by one base, never by a product of bases.  Up to W = 36
+    those digits become text, and int(text, W) reads them in chunks of
+    _CHUNK (a power of two W in one piece, as int() is linear there): on
+    30,000 digits that is 0.2 to 0.8 ms faster than the merge below.  Past
+    36, neighbouring lanes merge inside the int, one level at a time, as
+    X = (X >> w & mask) * R + (X & mask): lanes of w bits that hold n
+    digits each, from w = 8 * B and n = 1, become lanes of 2w bits that
+    hold 2n, R = W**n, and W**2n <= 2**2w keeps every lane apart.  Zero
+    lanes on top pad K to whole chunks.  The levels stop once each lane, a
+    chunk of base-W digits, is at least _RUN bytes wide, so B = 1 takes
+    _RUN digits a chunk: in a sweep of 8 to 64 periods a chunk on 30,010
+    digits, chunks of 512 to 1,152 bits merged fastest at B = 2, 4 and 9
+    (Python 3.11.7).  The chunks merge by _merge_runs over W**chunk; every
+    power of W = 2**a * r, r odd, is taken as _merge_runs takes its own, an
+    odd power and a shift: W**k = r**k << a * k.  A first, shorter chunk, a
+    partial last period (folded by _fold) and the prefix part (by
+    _positional) join that result once.
     """
-    head, bs, run = packed
+    head, D, bs, run = packed
     W = math.prod(run)
-    if W > 256:
-        return _positional(digits, Q, start)
     L = len(run)
-    K = len(bs) // L
-    lanes, after = 0, 1
-    for j in reversed(range(L)):
-        lanes += int.from_bytes(bs[j : K * L : L], "big") * after
-        after *= run[j]
+    K = (len(digits) - head) // L
+    B = -(-(W - 1).bit_length() // 8)
+    lanes = 0
+    for j, q in enumerate(run):
+        if B == 1:  # one byte a lane, so one a digit: phase j's digits are the lanes
+            row = bs[j : K * L : L]
+        else:  # each digit's D bytes go to the low end of a zeroed lane
+            row = bytearray(K * B)
+            for i in range(D):
+                row[B - D + i :: B] = bs[j * D + i : K * L * D : L * D]
+        lanes = lanes * q + int.from_bytes(row, "big")
     a = (W & -W).bit_length() - 1
     r = W >> a
     if W <= 36:
@@ -104,14 +125,15 @@ def fold(digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, by
         nums = [int(text[i : i + step], W) for i in range(lead, K, step)]
         first = int(text[:lead], W) if lead else 0
     else:
-        step, width, R = _RUN, 8, W
-        lead, size = K % step, -(-K // step) * step  # zero lanes pad the first chunk
-        while width < 8 * step:
+        # step: the periods a chunk holds, the fewest, a power of two, that fill _RUN bytes
+        step, width, R = 1 << ((_RUN - 1) // B).bit_length(), 8 * B, W
+        lead, size = K % step, -(-K // step) * step * B  # zero lanes pad the first chunk
+        while width < 8 * B * step:
             mask = int.from_bytes((b"\xff" * (width // 8) + bytes(width // 8)) * (size * 4 // width), "little")
             lanes = (lanes >> width & mask) * R + (lanes & mask)
             width, R = 2 * width, R * R
         chunks = lanes.to_bytes(size, "big")
-        nums = [int.from_bytes(chunks[i : i + step], "big") for i in range(0, size, step)]
+        nums = [int.from_bytes(chunks[i : i + B * step], "big") for i in range(0, size, B * step)]
         first = nums.pop(0) if lead else 0
     num, prod = _merge_runs(nums, r**step << a * step) if nums else (0, 1)
     if lead:

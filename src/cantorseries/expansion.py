@@ -143,46 +143,15 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     of their bases and N = sum e_i * (product of the bases after i), so the
     digits are worth N/P in the radix system that begins at `start`.
 
-    This is the fold of one multiply per digit, for the words of more than
-    _RUN digits that _word_positional does not fold at C level (rule
-    sequences, periods of more than _RUN bases or of product W > 256, and
-    digits of 256 or more), and for the prefix part of those it does.  On
-    a list-backed Q with a period of L <= _RUN bases, the digits past the
-    prefix go in runs of
-    R = L * ceil(_RUN / L): every run starts at the same period phase, so
-    all have the same bases and one product W.  Each run folds only its
-    numerator, and _merge_runs merges them over W alone.  The prefix part
-    (a call of its own) and a last partial run (folded by _fold) then each
-    join that result once.  Otherwise (rule sequences, longer periods,
-    fewer than R digits past the prefix) runs of _RUN digits, and at least
-    one, fold (N, P) pairs, and _merge_runs merges them with their
-    products.  Either way the cost is O(M(m) log m).
+    This is the fold for the words of more than _RUN digits that
+    _word_positional does not fold at C level (rule sequences, periods of
+    more than _RUN bases, and digits of 2**16 or more), and for the prefix
+    part of those it does.  Runs of _RUN digits, and at least one, fold
+    (N, P) pairs one multiply per digit, and _merge_runs merges them with
+    their products: O(M(m) log m).
     """
-    m = len(digits)
-    if isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
-        pre, per = Q.prefix, Q.period
-        head = min(m, max(0, len(pre) - start + 1))  # digits over the prefix
-        reps = -(-_RUN // len(per))
-        size = reps * len(per)
-        whole, tail = divmod(m - head, size)
-        if whole:
-            run = _span(Q, start + head, size)
-            nums = []
-            for i in range(head, m - tail, size):
-                num = 0
-                for q, d in zip(run, digits[i : i + size]):
-                    num = num * q + d
-                nums.append(num)
-            num, prod = _merge_runs(nums, math.prod(run))
-            if tail:
-                tail_num, tail_prod = _fold(zip(run, digits[m - tail :]))
-                num, prod = num * tail_prod + tail_num, prod * tail_prod
-            if head:
-                head_num, head_prod = _positional(digits[:head], Q, start)
-                num, prod = head_num * prod + num, head_prod * prod
-            return num, prod
     pairs = zip(iter_bases(Q, start), digits)
-    nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, max(m, 1), _RUN)]))
+    nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, max(len(digits), 1), _RUN)]))
     return _merge_runs(nums, prods)
 
 
@@ -192,11 +161,11 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
 _pack = _fold_packed = None
 
 
-def _packed(word: DigitWord, Q: QSequence) -> tuple[int, bytes, tuple[int, ...]] | None:
+def _packed(word: DigitWord, Q: QSequence) -> tuple[int, int, bytes, tuple[int, ...]] | None:
     """validate_digits(word, Q), returning _packing.pack's form of the word
     when it has one: it has more than _RUN digits on a list-backed Q with a
     period of at most _RUN bases, and its digits past the prefix are below
-    256 and their bases.  The prefix part and every other word are checked
+    2**16 and their bases.  The prefix part and every other word are checked
     one step per digit, and so is the whole word once the packed check
     fails, to name the first bad digit.
     """
@@ -218,8 +187,8 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[int, bytes, tuple[int, ...]]
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1};
     the DomainError names the first digit out of range.  Past the prefix of
-    a list-backed Q, a long word is checked by one C-level pass over its
-    bytes per period phase (see _packed)."""
+    a list-backed Q, a long word is checked by one C-level pass per period
+    phase (see _packed)."""
     _packed(word, Q)
 
 
@@ -227,8 +196,8 @@ def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
     """validate_digits(word, Q), then _positional(word.digits, Q, word.start):
     for a word of at most _RUN digits, one loop over its _span (a bad digit
     goes to _packed, which names the first); for a longer one, both from
-    one bytes(digits) where the packed form applies: for a period product
-    of at most 256, _packing.fold reads the whole periods at C level."""
+    its packed form where it has one, whose whole periods _packing.fold
+    reads at C level."""
     digits, start = _of(DigitWord, word).digits, word.start
     if len(digits) <= _RUN:
         qs = _span(_sequence(Q), start, len(digits))

@@ -287,13 +287,12 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, 
     one partial period, sliced out, and whole is the product of a full
     period; for rule sequences it is the range of every base.
     """
+    _sequence(Q)
     count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
     if count <= 0:
         return (), 0, 1, 0
     if isinstance(Q, Rule):
         return range(2 * lo + 1, 2 * hi + 2, 2), _check_count(count), 1, 0
-    if not isinstance(Q, ListBacked):
-        raise TypeError(f"not a QSequence: {Q!r}")
     pre, per = Q.prefix, Q.period
     head = pre[lo - 1 : hi]
     cycles, rest = divmod(count - len(head), len(per))

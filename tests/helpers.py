@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from cantorseries import CertificateCheck, Constant, Periodic, PrefixPeriodic, QSequence, Rule, q_at
@@ -265,12 +266,12 @@ def positional_cases(draw):
     """(Q, literal bases from position 1, start, length) for _positional.
 
     Either a sequences_with_literal_bases word at start 1-20 with one of
-    MERGE_LENGTHS, or a list-backed sequence with a period of 1-70 bases.
-    A period of L <= 64 bases goes in runs of R = L * ceil(64 / L) digits
-    (R from 64 to 127), and the lengths lie around R, 2R and 2^k R; a longer
-    period takes the (N, P) path.  Starts fall inside the prefix (up to 150
-    bases, so that the prefix part alone may pass 64 digits), on its last
-    base, and past it at any period phase.
+    MERGE_LENGTHS, or a list-backed sequence with a period of L = 1-70
+    bases, whose lengths lie around R, 2R and 2^k R for
+    R = L * ceil(64 / L), the whole periods nearest above 64 digits.
+    Starts fall inside the prefix (up to 150 bases, so that the prefix part
+    alone may pass 64 digits), on its last base, and past it at any period
+    phase.
     """
     if draw(st.booleans()):
         Q, literal = draw(sequences_with_literal_bases(reach=1100))
@@ -288,17 +289,23 @@ def positional_cases(draw):
     return Q, (prefix + period * -(-reach // L))[:reach], start, length
 
 
-# Periods for the byte-packed check and fold: products W from 2 to 36, the
-# last that int(text, W) reads (36 as periodic:6,6 and as const:36), powers
-# of two (read in one piece), and past it the lane-pair merge: W = 37, 64,
-# 70, 255 and 256 (as periodic:16,16 and const:256), a 64-base period (the
-# longest that is packed) and a 65-base one; then W = 257 and past it, which
-# fold one multiply per digit, and bases of 256 and more, whose digits do
-# not fit a byte.
+# Periods for the packed check and fold: products W from 2 to 36, the last
+# that int(text, W) reads (36 as periodic:6,6 and as const:36), powers of
+# two (read in one piece), and past it the lane-pair merge from lanes of the
+# fewest bytes that hold W - 1.  One byte: W = 37, 64, 70, 255 and 256 (as
+# periodic:16,16 and const:256).  Two: 257, 510, 600 and 2**16 (as
+# periodic:256,256 and const:65536).  Three: 65537 and 256 * 257.  Four:
+# 300 * 301 * 302, 255**4 and 2**32.  Five: 2**33.  Eight: 2**64 (a 64-base
+# period, the longest that is packed).  Nine: 3 * 2**63.  126: 63 bases up
+# to 65536.  A 65-base period is not packed.  Digits of 256 and more, on
+# bases past 256, are packed two bytes a digit; a digit of 65536, on
+# const:65537, does not fit two bytes either.
 PACKED_PERIODS = [
     (2,), (3,), (10,), (36,), (6, 6), (2, 3), (3, 2), (2, 2, 3, 3), (2, 2, 2, 2, 2), (4, 8), (35,),
     (37,), (64,), (2, 4, 8), (5, 2, 7), (255,), (3, 5, 17), (16, 16), (256,), (2,) * 63 + (3,), (2,) * 65,
-    (257,), (300, 2), (2, 255),
+    (257,), (300, 2), (2, 255), (256, 256), (256, 257), (255,) * 4, (256,) * 4, (2,) * 33,
+    pytest.param((2,) * 64, id="64 twos"),  # not "64 bases", the id of the 64-base period above
+    (65536,), (65537,), (300, 301, 302), tuple(range(65474, 65537)),
 ]
 # Whole periods past the prefix: 0, 1, 2, and 2**k - 1 and 2**k + 1 around
 # each level of the lane-pair merge (lanes of 2**k digits, up to 64) and of
@@ -319,7 +326,7 @@ def packed_cases(draw, period):
     PACKED_COUNTS, and a partial last period of any length follows.  The bad digit sits
     at any position, so at any period phase, or on an edge: the first or
     last digit, or either side of the prefix's end.  It is the base itself,
-    the base plus one, 255, 256 or more.
+    the base plus one, 255, 256, 1000, 65535 or 65536.
     """
     prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
                             st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
@@ -337,7 +344,7 @@ def packed_cases(draw, period):
     if digits and draw(st.booleans()):
         edges = {0, max(0, over_prefix - 1), min(over_prefix, len(digits) - 1), len(digits) - 1}
         at = draw(st.one_of(st.sampled_from(sorted(edges)), st.integers(min_value=0, max_value=len(digits) - 1)))
-        digits[at] = draw(st.sampled_from([qs[at], qs[at] + 1, 255, 256, 1000]))
+        digits[at] = draw(st.sampled_from([qs[at], qs[at] + 1, 255, 256, 1000, 65535, 65536]))
     return Q, literal, start, tuple(digits)
 
 

@@ -195,6 +195,10 @@ def test_validate_digits_names_the_first_bad_position_and_its_base():
     with pytest.raises(DomainError) as bad:
         validate_digits(DigitWord((0,) * 40 + (83, 99), start=1), ODD)
     assert str(bad.value) == "digit 83 at position 41 out of range for base 83"
+    # a long word of two-byte digits, one equal to its base
+    with pytest.raises(DomainError) as bad:
+        validate_digits(DigitWord((299, 1) * 40 + (300, 1) + (0, 1) * 10), parse_qseq("periodic:300,2"))
+    assert str(bad.value) == "digit 300 at position 81 out of range for base 300"
     validate_digits(DigitWord((2, 3, 4, 5), start=1), Q)
 
 

@@ -324,6 +324,9 @@ def test_short_products_mod_v_hold_no_big_product():
         lambda Q: bases(Q, 10**20),
         lambda Q: expand(Fraction(1, 3), Q, 0),
         lambda Q: expand(Fraction(1, 3), Q, True),
+        # an empty range: no base is needed, but Q is still checked
+        lambda Q: base_product(Q, 5, 1),
+        lambda Q: _base_product_mod(Q, 5, 1, 7),
     ],
 )
 def test_a_non_sequence_is_named_before_a_bad_count(call):

@@ -168,7 +168,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
     # step per digit gives, and folds what passes to the same (N, P) as one
     # multiply per digit.  It is taken exactly for a word longer than 64
     # digits on a period of at most 64 bases whose digits past the prefix
-    # are all below 256.
+    # are all below 2**16.
     Q, literal, start, digits = data.draw(packed_cases(period))
     qs = literal[start - 1 :]
     word = DigitWord(digits, start)
@@ -181,7 +181,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
         return
     assert _word_positional(word, Q) == oracle_positional(digits, qs)
     head = max(0, len(Q.prefix) - start + 1)
-    packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 256
+    packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 2**16
     assert (_packed(word, Q) is not None) == packs
 
 
