@@ -18,17 +18,19 @@ outcome.
 
 A cold call loads only what its verb uses: each handler imports its
 library module when it runs, a number spec loads the module of its own
-form, and `json` loads only under --json.  Annotations stay unevaluated
-strings, so typing is not imported either: `Any` in them is typing.Any and
-`Sequence` collections.abc.Sequence.
+form, and `json` loads only under --json.  argv is read by hand from the
+`_COMMANDS` table, as argparse read it, so argparse (with gettext and
+locale) is not imported.  Annotations stay unevaluated strings, so typing
+is not imported either: `Any` and `NoReturn` in them are typing's and
+`Sequence` is collections.abc.Sequence.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .foundation import DomainError, ParseError, QSequence, _parse_int, _parse_ints, parse_qseq
 
@@ -42,19 +44,13 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the documented contract is 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def integer(text: str) -> int:
-    """The argparse type of the integer flags; argparse names it in the
-    message for a bad value ("invalid integer value")."""
+    """The value of an integer flag: an optional sign and ASCII digits, as
+    `_parse_int` reads them; anything else raises ParseError."""
     return _parse_int(text, "integer")
 
 
@@ -104,14 +100,14 @@ def _value_of(form: str, payload: Any, Q: QSequence) -> Fraction:
     raise AssertionError(form)
 
 
-def _cmd_expand(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_expand(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .expansion import expand
     x = _value_of(*parse_number_spec(args.x), Q)
     word, state = expand(x, Q, args.count)
     return {"x": _frac(x), "digits": list(word.digits), "sigma": _frac(state.value), "step": state.step}, EXIT_OK
 
 
-def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_eval(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     form, payload = parse_number_spec(args.x)
     if form == "rat":  # the other forms evaluate into [0, 1); a rational is range-checked as in the library
         from .expansion import _unit_value
@@ -126,7 +122,7 @@ def _cmd_eval(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
     return report, EXIT_OK
 
 
-def _cmd_certify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_certify(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .rationality import certify_rational, verify_certificate
     x = _value_of(*parse_number_spec(args.x), Q)
     cert = certify_rational(x, Q)
@@ -139,7 +135,7 @@ def _cmd_certify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
     }, EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_verify(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .rationality import RationalityCertificate, _check_recurrence, verify_certificate
     x = _value_of(*parse_number_spec(args.x), Q)
     n, m = args.n, args.m
@@ -156,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any],
     }, EXIT_OK
 
 
-def _cmd_reconstruct(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_reconstruct(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .rationality import reconstruct
     form, payload = parse_number_spec(args.x)
     if form != "block":
@@ -169,7 +165,7 @@ def _cmd_reconstruct(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, 
     }, EXIT_OK
 
 
-def _cmd_dual(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_dual(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .structure import dual_representation
     x = _value_of(*parse_number_spec(args.x), Q)
     report = dual_representation(x, Q, bound=args.bound)
@@ -187,7 +183,7 @@ def _cmd_dual(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], i
     return out, EXIT_OK
 
 
-def _cmd_convert(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_convert(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .expansion import DigitWord, evaluate_finite
     from .structure import CofiniteExpansion, cofinite_value, convert_dual, fold_cofinite
     form, payload = parse_number_spec(args.x)
@@ -211,7 +207,7 @@ def _cmd_convert(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
     raise DomainError("convert expects --x in digits:<...> or cofinite:<...> form")
 
 
-def _cmd_shift_const(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_shift_const(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .structure import shift_constant_check
     x = _value_of(*parse_number_spec(args.x), Q)
     report = shift_constant_check(x, Q, n0=args.n0, horizon=args.horizon)
@@ -224,7 +220,7 @@ def _cmd_shift_const(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, 
     }, EXIT_OK
 
 
-def _cmd_fixed_points(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_fixed_points(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .structure import fixed_points
     report = fixed_points(Q)
     return {
@@ -242,7 +238,7 @@ def _cmd_fixed_points(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str,
     }, EXIT_OK
 
 
-def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any], int]:
+def _cmd_regroup(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     from .structure import regroup
     form, payload = parse_number_spec(args.x)
     # regroup evaluates a digit word itself, after the breakpoints parse, so a
@@ -260,9 +256,17 @@ def _cmd_regroup(args: argparse.Namespace, Q: QSequence) -> tuple[dict[str, Any]
     }, EXIT_OK
 
 
+# The flags every verb takes; each flag is (name, spec), where spec holds
+# the argparse add_argument keywords that _parse_args and the help read:
+# required, type, default, metavar, help, and action="store_true" for a
+# flag that takes no value.
+_COMMON = [
+    ("--q", dict(required=True, metavar="QSPEC", help="base sequence, e.g. periodic:2,3 or rule:odd")),
+    ("--json", dict(action="store_true", default=False, help="emit one JSON object instead of plain lines")),
+]
 _X = ("--x", dict(required=True, metavar="NUMSPEC"))
 
-# verb: (handler, help line, verb flags in order); every verb also takes --q and --json
+# verb: (handler, help line, verb flags in order); every verb also takes the _COMMON flags
 _COMMANDS = {
     "expand": (
         _cmd_expand,
@@ -301,18 +305,110 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--q", required=True, metavar="QSPEC", help="base sequence, e.g. periodic:2,3 or rule:odd")
-    common.add_argument("--json", action="store_true", help="emit one JSON object instead of plain lines")
+_HELP = ("-h", "--help")
 
-    parser = _Parser(prog="cantorseries", description="Exact Cantor-series arithmetic over arbitrary base sequences.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, help_line, flags) in _COMMANDS.items():
-        p = sub.add_parser(verb, parents=[common], help=help_line)
-        for name, spec in flags:
-            p.add_argument(name, **spec)
-    return parser
+
+def _read_flag(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """How argparse reads token among the flags names: None for a value;
+    else (the flag, or None for an unknown one; the text after its first
+    '=', or None).  A long flag may be cut to any prefix that begins no
+    other.  A value may begin with '-' when it is '-', '--', a negative
+    number such as -1 or -.5, or text with a blank."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, inline = token.partition("=")
+    if not eq:
+        inline = None
+    if name in names:
+        return name, inline
+    if token[1] == "-":
+        found = [flag for flag in names if flag.startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], inline
+    digits, dot, frac = token[1:].partition(".")
+    if " " in token or (digits + frac).isdecimal() and (frac or not dot):
+        return None
+    return None, None
+
+
+def _parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
+    """The verb of argv and its flag values, read as argparse read them.
+
+    The verb comes first; before it only -h/--help may stand.  A flag's
+    value is the next token or the text after `--flag=`, and the last one
+    given wins.  -h/--help prints help and exits 0 where it stands, so a
+    usage error found before it wins, and an unknown flag or a stray token
+    before it does not: those, like a missing required flag, are reported
+    only after the last token.  Every token from a `--` on is a stray one.
+    """
+    strays: list[str] = []
+    for i, token in enumerate(argv):
+        read = _read_flag(token, _HELP)
+        if read is None:
+            break
+        if read[0] is None:
+            strays.append(token)
+        elif read[1] is not None:
+            raise _UsageError(f"argument -h/--help: ignored explicit argument {read[1]!r}")
+        else:
+            _help(None)
+    else:
+        raise _UsageError("the following arguments are required: verb")
+    verb = argv[i]
+    if verb not in _COMMANDS:
+        raise _UsageError(f"argument verb: invalid choice: {verb!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    specs = dict(_COMMON + _COMMANDS[verb][2])
+    names = [*_HELP, *specs]
+    rest = list(argv[i + 1 :])
+    if "--" in rest:
+        cut = rest.index("--")
+        strays += rest[cut:]
+        del rest[cut:]
+    reads = [_read_flag(token, names) for token in rest]  # an ambiguous flag anywhere is an error first
+    values = {name[2:]: spec.get("default") for name, spec in specs.items()}
+    j = 0
+    while j < len(rest):
+        token, read = rest[j], reads[j]
+        j += 1
+        if read is None or read[0] is None:
+            strays.append(token)
+            continue
+        flag, inline = read
+        spec = specs.get(flag)
+        if spec is None or "action" in spec:  # -h/--help or --json: no value
+            if inline is not None:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {inline!r}")
+            if spec is None:
+                _help(verb)
+            values[flag[2:]] = True
+            continue
+        if inline is None:
+            if j == len(rest) or reads[j] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            inline = rest[j]
+            j += 1
+        if "type" in spec:
+            try:
+                inline = spec["type"](inline)
+            except ParseError:
+                raise _UsageError(f"argument {flag}: invalid integer value: {inline!r}") from None
+        values[flag[2:]] = inline
+    missing = [name for name, spec in specs.items() if spec.get("required") and values[name[2:]] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if strays:
+        raise _UsageError(f"unrecognized arguments: {' '.join(strays)}")
+    return verb, SimpleNamespace(**values)
+
+
+def _help(verb: str | None) -> NoReturn:
+    """Print the help of the program (verb None) or of one verb, and exit 0."""
+    from ._help import help_text  # compiled only when help is asked for
+    print(help_text(verb, _COMMANDS, _COMMON))
+    sys.stdout.flush()  # a closed or full stdout is an output error, as for a report
+    raise SystemExit(0)
 
 
 def _render_plain(report: dict[str, Any]) -> str:
@@ -357,21 +453,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _main(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        verb, args = _parse_args(sys.argv[1:] if argv is None else argv)
         Q = parse_qseq(args.q)
-        report, code = _COMMANDS[args.verb][0](args, Q)
+        report, code = _COMMANDS[verb][0](args, Q)
         if args.json:
             import json
             print(json.dumps(report))
         else:
             print(_render_plain(report))
         sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

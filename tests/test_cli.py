@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorseries
-from cantorseries.cli import _COMMANDS, main
+from cantorseries.cli import _COMMANDS, _COMMON, _UsageError, _parse_args, main
 
 
 def run_cli(capsys, *argv):
@@ -319,9 +320,18 @@ def run_child(argv, **kwargs):
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
-    probe = "import sys, cantorseries.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    # argv is read by hand, so neither argparse nor the gettext and locale it brings is loaded
+    heavy = "{'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale'}"
+    probe = f"import sys, cantorseries.cli; print(sorted({heavy} & set(sys.modules)))"
     done = run_child(["-S", "-c", probe])
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("verb", [None, *_COMMANDS])
+def test_help_exits_zero_with_the_help_on_stdout(verb):
+    done = run_child(["-m", "cantorseries.cli", *([verb] if verb else []), "--help"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"usage: cantorseries {verb or '<verb>'} ")
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -497,6 +507,15 @@ def test_stdout_closed_before_a_short_write_is_an_output_error():
     assert (done.returncode, done.stderr) == (1, "output error: [Errno 32] Broken pipe\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "-h"]])
+def test_help_to_a_closed_stdout_is_an_output_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed:
+        done = write_child(["-m", "cantorseries.cli", *argv], closed)
+    assert (done.returncode, done.stderr) == (1, "output error: [Errno 32] Broken pipe\n")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
 def test_full_stdout_is_an_output_error():
     with open("/dev/full", "wb") as full:
@@ -559,6 +578,18 @@ def test_a_rational_eval_loads_only_its_range_check():
     code, loaded = cold_call(["eval", "--q", "const:10", "--x", "rat:3/2"])
     assert code == 2
     assert {m for m in loaded if m.startswith("cantorseries.")} == {"cantorseries.foundation", "cantorseries.expansion"}
+
+
+def test_only_help_loads_the_help_text():
+    # a cold call compiles _help only when it prints help; a usage error does not
+    for argv, want in [
+        (["certify", "--q", "const:10", "--x", "rat:1/7"], (0, False)),
+        (["certify", "--q", "const:10"], (1, False)),
+        (["certify", "--help"], (0, True)),
+        (["-h"], (0, True)),
+    ]:
+        code, loaded = cold_call(argv)
+        assert (code, "cantorseries._help" in loaded) == want, argv
 
 
 def test_readme_quick_tour_gives_the_commented_values():
@@ -668,3 +699,175 @@ def test_cli_grammar_fuzz_exits_with_a_documented_code(argv):
         assert out.getvalue() and not err.getvalue()
     else:
         assert not out.getvalue() and err.getvalue().count("\n") == 1
+
+
+# --- the hand parser against argparse -------------------------------------------------
+# The reference is argparse itself, set up from the _COMMANDS table: a subparser per
+# verb with the _COMMON flags, and errors raised instead of exit 2.  Both
+# read the same argv; they must give the same verb and values, both print help, or
+# both refuse it, and main then exits 1 with one usage error line.  Clustered short
+# flags (-hh, -hx) are left out: the hand parser does not read them, and argparse
+# reads them differently from one Python version to the next.
+
+
+class Refused(Exception):
+    pass
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise Refused(message)
+
+
+def reference_parser():
+    common = ReferenceParser(add_help=False)
+    for name, spec in _COMMON:
+        common.add_argument(name, **spec)
+    parser = ReferenceParser(prog="cantorseries")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for verb, (_, help_line, flags) in _COMMANDS.items():
+        sub = verbs.add_parser(verb, parents=[common], help=help_line)
+        for name, spec in flags:
+            sub.add_argument(name, **spec)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def reference_parse(argv):
+    values = vars(REFERENCE.parse_args(argv))
+    return values.pop("verb"), values
+
+
+def hand_parse(argv):
+    verb, args = _parse_args(argv)
+    return verb, vars(args)
+
+
+def outcome(parse, argv):
+    """("ok", verb, values), ("help",) or ("error",): how parse reads argv."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return ("ok", *parse(argv))
+    except SystemExit as exc:
+        assert exc.code == 0 and out.getvalue()
+        return ("help",)
+    except (Refused, _UsageError):
+        return ("error",)
+
+
+def assert_parsers_agree(argv):
+    got = outcome(hand_parse, argv)
+    assert got == outcome(reference_parse, argv), argv
+    if got == ("error",):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
+    return got[0]
+
+
+@pytest.mark.parametrize(
+    "line,kind",
+    [
+        ("verify --q rule:odd --x rat:1/3 --n -1 --m 1", "ok"),
+        ("verify --q rule:odd --x rat:1/3 --n=-1 --m=1 --n 7", "ok"),
+        ("expand --x=rat:1/3 --cou 5 --q=const:10 --json", "ok"),
+        ("expand --q const:10 --x rat:1/3 --count 99999999999999999999 --co=3", "ok"),
+        ("shift-const --q const:10 --x rat:1/3 --n 2 --h 5", "error"),
+        ("shift-const --q const:10 --x rat:1/3 --n=2 --hor 5 --js", "ok"),
+        ("regroup --q const:10 --x rat:1/3 --b 2", "error"),
+        ("regroup --q const:10 --x rat:1/3 --br 2,4 --bl 1", "ok"),
+        ("certify --q const:10 --x -.5", "ok"),
+        ("certify --q const:10 --x '-a b'", "ok"),
+        ("certify --q const:10 --x -a", "error"),
+        ("certify --q const:10 --x -", "ok"),
+        ("certify --q const:10 --x ''", "ok"),
+        ("certify --q const:10 --x=", "ok"),
+        ("certify --q const:10 --x rat:1/3 --json=", "error"),
+        ("certify --q const:10 --x rat:1/3 --", "error"),
+        ("certify --q const:10 -- --x rat:1/3", "error"),
+        ("certify --q const:10 --x --", "error"),
+        ("certify --q const:10 --x rat:1/3 stray", "error"),
+        ("certify --q const:10 --x rat:1/3 --count 3", "error"),
+        ("certify --bogus -h", "help"),
+        ("certify stray --help", "help"),
+        ("certify --q -h", "error"),
+        ("certify --q const:10 --x rat:1/3 -- -h", "error"),
+        ("--bogus -h", "help"),
+        ("-- certify -h", "error"),
+        ("--he", "help"),
+        ("--help=1", "error"),
+        ("-h=", "error"),
+        ("certify", "error"),
+        ("", "error"),
+        ("bogus -h", "error"),
+        ("-1", "error"),
+        ("expand --q const:10 --x rat:1/3 --count x -h", "error"),
+        ("expand --q const:10 --x rat:1/3 -h --count x", "help"),
+    ],
+)
+def test_hand_parser_agrees_with_argparse(line, kind):
+    assert assert_parsers_agree(shlex.split(line)) == kind
+
+
+def test_dashes_after_equals_are_the_value(capsys):
+    # argparse before Python 3.13 gave the list [] for --x=--, and the
+    # handler failed on it with a traceback; the hand parser reads '--'
+    assert hand_parse(["certify", "--q", "const:10", "--x=--"]) == ("certify", {"q": "const:10", "json": False, "x": "--"})
+    assert run_cli(capsys, "certify", "--q", "const:10", "--x=--") == (
+        1, "", "parse error: expected <form>:<spec> for a number, got '--'\n"
+    )
+    assert run_cli(capsys, "expand", "--q", "const:10", "--x", "rat:1/3", "--count=--") == (
+        1, "", "usage error: argument --count: invalid integer value: '--'\n"
+    )
+
+
+VALUES = st.one_of(
+    JUNK,
+    st.sampled_from(["-", "--", "-.5", "-1.5", "-1e5", "a b", "-a b", "--x b", "-x", "rat:1/3", "const:10", "2,4,6"]),
+    st.one_of(SMALL, HUGE, HUGE.map(lambda n: -n)).map(str),
+)
+STRAYS = st.one_of(
+    JUNK,
+    st.sampled_from(["-h", "--help", "--he", "--h", "--", "-", "--json", "-1", "a b"]),
+    st.sampled_from(sorted({name for _, _, flags in _COMMANDS.values() for name, _ in flags})),
+)
+
+
+def flag_tokens(draw, name, spec):
+    """One use of a flag: its name or a prefix of it, then a value as the next
+    token or after '='; now and then a flag that takes no value gets one."""
+    spelling = name[: draw(st.integers(min_value=3, max_value=len(name)))]
+    takes_value = "action" not in spec
+    if takes_value or rarely(draw):
+        value = draw(VALUES)
+        # argparse before Python 3.13 reads --x=-- as the value [] (test_dashes_after_equals_are_the_value)
+        return [f"{spelling}={value}"] if value != "--" and draw(st.booleans()) else [spelling, value]
+    return [spelling]
+
+
+@st.composite
+def parser_argv(draw):
+    verb = draw(st.sampled_from(sorted(_COMMANDS)))
+    uses = [
+        flag_tokens(draw, name, spec)
+        for name, spec in _COMMON + _COMMANDS[verb][2]
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))  # mostly once; absent or repeated
+    ]
+    uses += [[draw(STRAYS)] for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])))]
+    argv = [verb] + [token for use in draw(st.permutations(uses)) for token in use]
+    if rarely(draw):
+        argv.insert(0, draw(STRAYS))
+    if rarely(draw):
+        argv.pop()  # most often a flag loses its value
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(parser_argv())
+def test_hand_parser_agrees_with_argparse_on_generated_argv(argv):
+    assert_parsers_agree(argv)
