@@ -109,17 +109,14 @@ def _cmd_expand(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], in
 
 def _cmd_eval(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:
     form, payload = parse_number_spec(args.x)
+    if form == "digits":  # a word's value is its enclosure's low end: the word is folded once
+        from .expansion import enclosure
+        box = enclosure(payload, Q)
+        return {"form": form, "value": _frac(box.low), "low": _frac(box.low), "high": _frac(box.high)}, EXIT_OK
     if form == "rat":  # the other forms evaluate into [0, 1); a rational is range-checked as in the library
         from .expansion import _unit_value
         payload = _unit_value(payload)
-    value = _value_of(form, payload, Q)
-    report: dict[str, Any] = {"form": form, "value": _frac(value)}
-    if form == "digits":
-        from .expansion import enclosure
-        box = enclosure(payload, Q)
-        report["low"] = _frac(box.low)
-        report["high"] = _frac(box.high)
-    return report, EXIT_OK
+    return {"form": form, "value": _frac(_value_of(form, payload, Q))}, EXIT_OK
 
 
 def _cmd_certify(args: SimpleNamespace, Q: QSequence) -> tuple[dict[str, Any], int]:

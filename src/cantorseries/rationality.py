@@ -52,8 +52,8 @@ class RationalityCertificate:
 
     block_product is P = q_{n+1} * ... * q_{n+m}; any x certified by (n, m)
     satisfies the divisibility v | q1...q_n * (P - 1) on its reduced
-    denominator v, which is the cheap arithmetic witness checked alongside
-    the recurrence itself.
+    denominator v.  For reduced x = u/v that witness is the recurrence
+    itself, as u is a unit mod v.
     """
 
     n: int
@@ -64,7 +64,8 @@ class RationalityCertificate:
 
 @_record
 class CertificateCheck:
-    """Outcome of re-deriving a certificate from scratch."""
+    """Outcome of re-deriving a certificate from scratch.  recurrence_ok and
+    divisibility_ok are one test (see RationalityCertificate): equal flags."""
 
     ok: bool
     reason: str | None
@@ -172,9 +173,9 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
     QSequence raises TypeError, as everywhere else.  Checks, in order, that
     cert is a RationalityCertificate with int n >= 0, m >= 1 and
     block_product (never bools) and a Fraction sigma_value, that x lies in
-    [0, 1), that sigma^n(x) = sigma^{n+m}(x), that the recorded shift value
-    and block product match, and that the reduced denominator v divides
-    q1...q_n * (P - 1).  Non-minimal certificates pass: any valid
+    [0, 1), that sigma^n(x) = sigma^{n+m}(x), which for reduced x = u/v is
+    the divisibility v | q1...q_n * (P - 1), and that the recorded shift
+    value and block product match.  Non-minimal certificates pass: any valid
     recurrence certifies.  A range 1..n longer than sys.maxsize on a rule
     sequence, or n+1..n+m longer than it on any sequence or with a product
     past base_product's size bound, fails the field check (invalid_fields).
@@ -205,11 +206,13 @@ def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertifi
 def _check_recurrence(
     x: Fraction, Q: QSequence, n: int, m: int, claim: RationalityCertificate | None = None
 ) -> CertificateCheck:
-    """verify_certificate's check of sigma^n(x) = sigma^{n+m}(x) for x in
-    [0, 1), n >= 0 and m >= 1, with claim's shift value and block product
-    when given; it builds the block product once, and only for a claim to
-    compare it with (without one, P - 1 is taken mod v), and raises
-    base_product's DomainError for a range or product past its bounds."""
+    """verify_certificate's check of sigma^n(x) = sigma^{n+m}(x) for reduced
+    x = u/v in [0, 1), n >= 0 and m >= 1, with claim's shift value and block
+    product when given; it builds the block product once, and only for a
+    claim to compare it with (without one, P - 1 is taken mod v), and raises
+    base_product's DomainError for a range or product past its bounds.  The
+    recurrence, v | u_n * (P - 1) with u_n = u * q1...q_n mod v, is the
+    divisibility v | q1...q_n * (P - 1), as u is a unit mod v."""
     v = x.denominator
     head = _base_product_mod(Q, 1, n, v)
     if claim is None:
@@ -219,18 +222,14 @@ def _check_recurrence(
         product = base_product(Q, n + 1, n + m)
         gap = (product - 1) % v
     u_n = x.numerator * head % v
-    recurrence_ok = u_n * gap % v == 0
-    divisibility_ok = head * gap % v == 0
-    if not recurrence_ok:
-        return CertificateCheck(False, "recurrence_mismatch", False, divisibility_ok)
+    if u_n * gap % v:
+        return CertificateCheck(False, "recurrence_mismatch", False, False)
     if claim is not None:
         sigma = claim.sigma_value  # a Fraction, so it is u_n/v iff the cross products agree
         if sigma.numerator * v != u_n * sigma.denominator:
-            return CertificateCheck(False, "sigma_mismatch", True, divisibility_ok)
+            return CertificateCheck(False, "sigma_mismatch", True, True)
         if claim.block_product != product:
-            return CertificateCheck(False, "block_product_mismatch", True, divisibility_ok)
-    if not divisibility_ok:
-        return CertificateCheck(False, "divisibility_failed", True, False)
+            return CertificateCheck(False, "block_product_mismatch", True, True)
     return CertificateCheck(True, None, True, True)
 
 

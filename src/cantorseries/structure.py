@@ -86,7 +86,7 @@ def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
         ds.pop()
     if not ds:
         raise DomainError("head folds away entirely: the all-maximal expansion of 1 is out of domain")
-    return CofiniteExpansion(DigitWord(tuple(ds)))
+    return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
 
 
 def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
@@ -97,13 +97,6 @@ def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
     """
     num, prod = _word_positional(_of(CofiniteExpansion, cof).head, Q)
     return Fraction(num + 1, prod)
-
-
-def _validate_canonical(cof: CofiniteExpansion, Q: QSequence) -> None:
-    validate_digits(cof.head, Q)
-    m = len(cof.head)
-    if cof.head.digits[-1] > q_at(Q, m) - 2:
-        raise DomainError(f"cofinite head not canonical: digit at position {m} must be <= base - 2")
 
 
 @_record
@@ -149,8 +142,10 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
         validate_digits(form, Q)
         return _twin(form.digits)
     if isinstance(form, CofiniteExpansion):
-        _validate_canonical(form, Q)
+        validate_digits(form.head, Q)
         ds = list(form.head.digits)
+        if ds[-1] > q_at(Q, len(ds)) - 2:
+            raise DomainError(f"cofinite head not canonical: digit at position {len(ds)} must be <= base - 2")
         ds[-1] += 1
         return _unchecked(DigitWord, tuple(ds), 1)
     raise TypeError(f"expected DigitWord or CofiniteExpansion, got {form!r}")
@@ -229,9 +224,10 @@ def shift_constant_check(
     """Check e_n/(q_n - 1) = sigma^{n0}(x) for n0 < n <= n0 + horizon.
 
     Block descriptions are reconstructed to their exact value first.  The
-    window steps its `horizon` bases from sigma^{n0}(x), one modular power
-    by shift_value, so it costs O(horizon) for any n0; one ending past
-    sys.maxsize raises DomainError.  For a list-backed Q the pair (shift
+    window steps its `horizon` bases from sigma^{n0}(x) = a/b, one modular
+    power by shift_value, and each position is compared in integers,
+    e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0; one ending
+    past sys.maxsize raises DomainError.  For a list-backed Q the pair (shift
     state, position in period) recurs within denominator * period steps, so
     a clean window of that length decides the property for all n; shorter
     clean windows are reported as inconclusive, while any failing window is
@@ -246,10 +242,11 @@ def shift_constant_check(
     _check_count(_check_int(horizon, 1, "window length") + n0)
 
     target = shift_value(x, Q, n0)
+    a, b = target.numerator, target.denominator
     qs = bases(Q, horizon, n0 + 1)
-    digits, _ = _digits(target.numerator, target.denominator, qs)
+    digits, _ = _digits(a, b, qs)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
-    holds = all(Fraction(e, q - 1) == target for _, e, q in witnesses)
+    holds = all(e * b == (q - 1) * a for e, q in zip(digits, qs))
     conclusive = not holds or (
         isinstance(Q, ListBacked) and horizon >= max(n0, len(Q.prefix)) - n0 + x.denominator * len(Q.period)
     )
@@ -339,8 +336,8 @@ class Regrouping:
     the digit of the first block achieving it.  `ratio_constant` states
     lam_k/mu_k is the same for every block (the regrouped series is then
     shift-constant from step 0); `proportional` states lam_k = (mu_k/mu)*lam
-    exactly.  Given how lam is chosen the two conditions coincide; both are
-    evaluated independently.
+    exactly.  Given how lam is chosen the two conditions coincide (every
+    mu_k >= 1), so both hold the one test lam_k * mu == mu_k * lam.
     """
 
     breakpoints: tuple[int, ...]
@@ -369,21 +366,24 @@ def regroup(
     Each block is one shift step in the regrouped base: from the state
     sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v), which
     _digits takes over the block products.  The cost is the block products
-    plus at most one division by v per block; a last breakpoint past
-    sys.maxsize raises DomainError before any product, and a block product
-    past base_product's size bound before it is built.
+    plus at most one division by v per block, and one multiply pair per
+    block for the report's flags; a last breakpoint past sys.maxsize raises
+    DomainError before any product, and a block product past
+    base_product's size bound before it is built.  With `count`, at most
+    `count` breakpoints are read, from a sequence or any iterable.
     """
     if callable(breakpoints):
         if count is None:
             raise DomainError("breakpoint rule needs an explicit block count")
         # count is checked before the rule runs: a float would leak TypeError, a huge count fill memory
         bps = tuple(map(breakpoints, range(1, _check_count(_check_int(count, 1, "block count")) + 1)))
-    else:
+    elif count is None:
         bps = tuple(breakpoints)
-        count = _check_int(len(bps) if count is None else count, 1, "block count")
+        count = _check_int(len(bps), 1, "block count")
+    else:  # count is checked first, as for a rule, and bounds the items read
+        bps = tuple(nk for _, nk in zip(range(_check_int(count, 1, "block count")), breakpoints))
     if len(bps) < count:
         raise DomainError(f"need {count} breakpoints, got {len(bps)}")
-    bps = bps[:count]
     if any(isinstance(nk, bool) or not isinstance(nk, int) or nk <= lo for lo, nk in zip((0,) + bps, bps)):
         raise DomainError(f"breakpoints must be strictly increasing positive integers, got {bps}")
 
@@ -398,7 +398,6 @@ def regroup(
 
     mu = min(b.mu for b in blocks)
     lam_star = next(b.lam for b in blocks if b.mu == mu)
-    ratio_constant = len({Fraction(b.lam, b.mu) for b in blocks}) == 1
     proportional = all(b.lam * mu == b.mu * lam_star for b in blocks)
-    report = Regrouping(bps, tuple(blocks), mu, lam_star, ratio_constant, proportional)
+    report = Regrouping(bps, tuple(blocks), mu, lam_star, proportional, proportional)
     return products, _unchecked(DigitWord, lams, 1), report

@@ -16,6 +16,7 @@ from cantorseries import (
     Periodic,
     PrefixPeriodic,
     RationalityCertificate,
+    Rule,
     ShiftState,
     base_product,
     bases,
@@ -394,32 +395,50 @@ def test_dual_representation_matches_the_residual_chain(case):
         assert report.cofinite_form.head.digits == tuple(digits[:-1]) + (digits[-1] - 1,)
 
 
+@st.composite
+def values_and_sequences(draw):
+    """(x, Q): x a small or wide fraction, or a fixed-point candidate
+    eps/(q - 1) of Q, q its least base read from the constructor arguments
+    (3 on rule:odd), so that windows that hold and blocks of one ratio come
+    up too."""
+    Q = draw(qseqs())
+    if draw(st.booleans()):
+        return draw(st.one_of(proper_fractions(), wide_fractions())), Q
+    q = 3 if isinstance(Q, Rule) else min(Q.prefix + Q.period)
+    return Fraction(draw(st.integers(min_value=0, max_value=q - 2)), q - 1), Q
+
+
 @settings(max_examples=75)
 @given(
-    st.one_of(proper_fractions(), wide_fractions()),
-    qseqs(),
+    values_and_sequences(),
     st.one_of(
         st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
         # blocks of 1-7 bases: over a wide denominator, runs of 64 blocks are peeled
         st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=150),
     ),
 )
-def test_regroup_matches_partial_sums(x, Q, gaps):
+def test_regroup_matches_partial_sums(case, gaps):
+    x, Q = case
     bps = tuple(itertools.accumulate(gaps))
     new_bases, word, report = regroup(x, Q, bps)
     want_bases, want_digits = oracle_regroup(x, Q, bps)
     assert list(new_bases) == want_bases and list(word.digits) == want_digits
     assert [(b.lam, b.mu + 1) for b in report.blocks] == list(zip(want_digits, want_bases))
+    one_ratio = len({Fraction(lam, base - 1) for lam, base in zip(want_digits, want_bases)}) == 1
+    assert report.ratio_constant is one_ratio and report.proportional is one_ratio
 
 
 @given(
-    st.one_of(proper_fractions(), wide_fractions()),
-    qseqs(),
+    values_and_sequences(),
     st.integers(min_value=0, max_value=40),
     st.one_of(st.integers(min_value=1, max_value=30), RUN_COUNTS),
 )
-def test_shift_constant_window_carries_the_digits_of_x(x, Q, n0, horizon):
+def test_shift_constant_window_carries_the_digits_of_x(case, n0, horizon):
+    x, Q = case
     report = shift_constant_check(x, Q, n0, horizon)
     digits, _ = oracle_digits(x, Q, n0 + horizon)
     want = [(k, digits[k - 1], q_at(Q, k)) for k in range(n0 + 1, n0 + horizon + 1)]
     assert list(report.ratio_witnesses) == want
+    _, target = oracle_digits(x, Q, n0)
+    holds = all(Fraction(e, q - 1) == target for _, e, q in want)
+    assert report.holds is holds and report.constant == (target if holds else None)

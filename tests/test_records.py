@@ -31,6 +31,7 @@ from cantorseries import (
     ShiftConstantReport,
     ShiftState,
     TailMin,
+    bases,
     block_description,
     certify_rational,
     cofinite_value,
@@ -40,6 +41,7 @@ from cantorseries import (
     enclosure,
     evaluate_finite,
     expand,
+    fold_cofinite,
     local_value,
     reconstruct,
     regroup,
@@ -279,6 +281,51 @@ def test_every_typed_parameter_rejects_another_type(name, param, bad, records, n
             call(name, kwargs)
 
 
+# Every parameter that takes a sequence of ints (Sequence[int] or
+# tuple[int, ...]), with valid keyword arguments.  A non-iterable raises
+# Python's own TypeError; a float or bool item is checked as a value
+# (DomainError), whichever item it is.
+SEQUENCE_CALLS = {
+    ("ListBacked", "prefix"): dict(prefix=(5,), period=(2, 3)),
+    ("ListBacked", "period"): dict(prefix=(5,), period=(2, 3)),
+    ("Periodic", "period"): dict(period=(2, 3)),
+    ("PrefixPeriodic", "prefix"): dict(prefix=(5,), period=(2, 3)),
+    ("PrefixPeriodic", "period"): dict(prefix=(5,), period=(2, 3)),
+    ("DigitWord", "digits"): VALID_CALLS["DigitWord"],
+    ("fold_cofinite", "digits"): dict(digits=(1, 0), Q=Q23),
+    ("regroup", "breakpoints"): VALID_CALLS["regroup"],
+}
+
+
+def test_the_sequence_table_names_every_int_sequence_parameter():
+    found = {
+        (name, param.name)
+        for name in cantorseries.__all__
+        if inspect.isfunction(obj := getattr(cantorseries, name))
+        or isinstance(obj, type) and hasattr(obj, "__post_init__")
+        for param in inspect.signature(obj).parameters.values()
+        if not {"Sequence[int]", "tuple[int, ...]"}.isdisjoint(param.annotation.split(" | "))
+    }
+    assert set(SEQUENCE_CALLS) == found
+
+
+@pytest.mark.parametrize("name,param", SEQUENCE_CALLS)
+def test_every_int_sequence_parameter_rejects_a_non_iterable(name, param):
+    call(name, SEQUENCE_CALLS[name, param])
+    with pytest.raises(TypeError):
+        call(name, {**SEQUENCE_CALLS[name, param], param: 5})
+
+
+@pytest.mark.parametrize("name,param", SEQUENCE_CALLS)
+@pytest.mark.parametrize("item", [2.0, True])
+def test_every_int_sequence_parameter_checks_its_items_as_values(name, param, item):
+    kwargs = SEQUENCE_CALLS[name, param]
+    for at in range(len(kwargs[param])):
+        bad = kwargs[param][:at] + (item,) + kwargs[param][at + 1 :]
+        with pytest.raises(DomainError):
+            call(name, {**kwargs, param: bad})
+
+
 def test_post_init_normalises_sequences_to_tuples():
     assert ListBacked([5], [2, 3]) == ListBacked((5,), (2, 3))
     assert DigitWord(iter([1, 2])).digits == (1, 2)
@@ -334,7 +381,9 @@ def test_records_are_immutable(cls, fields, values):
 
 def words_made_unchecked(x, Q, dual_case):
     """Every DigitWord the library builds from its own divmod results."""
-    yield expand(x, Q, 12)[0]
+    word = expand(x, Q, 12)[0]
+    yield word
+    yield fold_cofinite(word.digits + tuple(q - 1 for q in bases(Q, 3, 13)), Q).head
     desc = block_description(x, Q)
     yield desc.preperiod
     yield desc.block

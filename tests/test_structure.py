@@ -448,6 +448,24 @@ def test_regroup_checks_the_count_before_calling_a_breakpoint_rule(count):
         regroup(Fraction(1, 3), D10, rule, count=count)
 
 
+def test_regroup_reads_no_more_breakpoints_than_the_count():
+    # a long iterable is never held whole, and a bad count reads none of it
+    pulled = []
+
+    def breakpoints():
+        for k in range(1, 10**6 + 1):
+            pulled.append(k)
+            yield k
+
+    _, word, report = regroup(Fraction(1, 3), P23, breakpoints(), count=3)
+    assert report.breakpoints == (1, 2, 3) and word.digits == (0, 2, 0)
+    assert len(pulled) <= 3
+    pulled.clear()
+    with pytest.raises(DomainError, match=r"^block count must be an integer >= 1, got 2\.0$"):
+        regroup(Fraction(1, 3), P23, breakpoints(), count=2.0)
+    assert pulled == []
+
+
 def test_regroup_mu_lambda_taken_at_first_minimal_block():
     # Blocks of different sizes: mu differs, lambda follows the first minimum.
     _, _, report = regroup(Fraction(3, 5), P23, (1, 3, 4))
