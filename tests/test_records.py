@@ -380,7 +380,8 @@ def test_records_are_immutable(cls, fields, values):
 
 
 def words_made_unchecked(x, Q, dual_case):
-    """Every DigitWord the library builds from its own divmod results."""
+    """Every DigitWord the library builds unchecked: from its own divmod
+    results, or from digits it validated just before."""
     word = expand(x, Q, 12)[0]
     yield word
     yield fold_cofinite(word.digits + tuple(q - 1 for q in bases(Q, 3, 13)), Q).head
