@@ -1,16 +1,19 @@
-"""Digit check and positional fold of long words from one `bytes` of their
-digits, and long expansions from residues packed in lanes of one int.
+"""Digit check and positional fold of whole periods of long words from one
+`bytes` of their digits, and whole periods of long expansions from residues
+packed in lanes of one int.
 
-expansion hands over a word of more than _RUN digits on a list-backed Q
-with a period of L <= _RUN bases, and an expansion of at least
-_LANES_FROM digits (more past 47 bits of v) on such a Q with every period
-base at most 256 and a denominator of at most _LANE_BITS bits.  Both
-paths keep one period's digits or residue in a lane of one int (SWAR,
-L. Lamport, CACM 18 (1975), 471-475): the fold reads every period at C
-level, in lanes of as many bytes as its product needs, and the expansion
-steps every lane through a run of bases of product up to 256 at once.
-The module is imported on first use, not with the package, so a cold
-call on short words does not compile it.
+expansion hands over the whole periods, past the prefix, of a word of more
+than _RUN digits on a list-backed Q with a period of L <= _RUN bases, and
+of an expansion of at least _LANES_FROM digits (more past 47 bits of v) on
+such a Q with every period base at most 256 and a denominator of at most
+_LANE_BITS bits; foundation._split cuts them out, and expansion runs the
+prefix part and a last partial period.  Both paths keep one period's
+digits or residue in a lane of one int (SWAR, L. Lamport, CACM 18 (1975),
+471-475): the fold reads every period at C level, in lanes of as many
+bytes as its product needs, and the expansion steps every lane through a
+run of bases of product up to 256 at once.  The module is imported on
+first use, not with the package, so a cold call on short words does not
+compile it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import math
 import struct
 from collections.abc import Callable, Sequence
 
-from .foundation import ListBacked, _RUN, _merge_runs, _span
-from .expansion import _digits, _fold, _positional
+from .foundation import _RUN, _merge_runs
 
 # The bytes below q are _BYTES[:q]: deleting them from the digits of base q
 # leaves exactly the digits out of range.
@@ -40,13 +42,11 @@ _CHUNK = 256
 _LANES = 1024
 
 
-def pack(digits: Sequence[int], Q: ListBacked, start: int) -> tuple[int, int, bytes, tuple[int, ...]] | None:
-    """(head, D, bs, run) when the digits at positions start, start+1, ...
-    past Q's prefix are all below their bases and below 2**16; else None.
+def pack(digits: Sequence[int], run: tuple[int, ...]) -> tuple[int, bytes] | None:
+    """(D, bs) when the digits, whole periods of run, are all below their
+    bases and below 2**16; else None.
 
-    head is the number of digits over the prefix, which are not checked
-    here, bs the big-endian bytes of the digits after them, D bytes a
-    digit, and run the period from the phase of the first of those.  The
+    bs holds the big-endian bytes of the digits, D bytes a digit.  The
     check is at C level, one phase j at a time.  Digits all below 256 take
     one byte each: deleting the bytes below run[j] from bs[j::L] must leave
     nothing (0.07 ms for 30,010 digits, against 0.9 ms for max(bs[j::L]),
@@ -56,39 +56,35 @@ def pack(digits: Sequence[int], Q: ListBacked, start: int) -> tuple[int, int, by
     digits on const:1000, against 1.6 ms for one pass of compress over
     every digit, Python 3.11.7).
     """
-    head = min(len(digits), max(0, len(Q.prefix) - start + 1))
-    run = _span(Q, start + head, len(Q.period))
     try:
-        bs = bytes(digits[head:])
+        bs = bytes(digits)
     except ValueError:  # a digit of 256 or more
-        if any(max(digits[head + j :: len(run)], default=0) >= q for j, q in enumerate(run)):
+        if any(max(digits[j :: len(run)], default=0) >= q for j, q in enumerate(run)):
             return None
         try:
-            return head, 2, struct.pack(f">{len(digits) - head}H", *digits[head:]), run
+            return 2, struct.pack(f">{len(digits)}H", *digits)
         except struct.error:  # a digit of 2**16 or more
             return None
     if any(bs[j :: len(run)].translate(None, _BYTES[:q]) for j, q in enumerate(run)):
         return None
-    return head, 1, bs, run
+    return 1, bs
 
 
-def fold(
-    digits: Sequence[int], Q: ListBacked, start: int, packed: tuple[int, int, bytes, tuple[int, ...]]
-) -> tuple[int, int]:
-    """expansion._positional(digits, Q, start) for checked digits whose
-    packed form pack gave.
+def fold(K: int, D: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
+    """(N, P) of K whole periods of run, their digits checked and packed
+    as pack gave them: P = W**K and N their positional numerator.
 
-    The K whole periods past the prefix fold at C level, in lanes of B
-    bytes, the fewest that hold W - 1 for the period product
-    W = run[0] * ... * run[L-1].  Strided slice assignment puts the digit
-    of phase j of each period in the low bytes of a lane of its own, and
-    X = X * run[j] + (those lanes), for j = 0, ..., L-1, leaves in each
-    lane that period's base-W digit, below W, so no lane carries; each step
-    multiplies X by one base, never by a product of bases.  Up to W = 36
-    those digits become text, and int(text, W) reads them in chunks of
-    _CHUNK (a power of two W in one piece, as int() is linear there): on
-    30,000 digits that is 0.2 to 0.8 ms faster than the merge below.  Past
-    36, neighbouring lanes merge inside the int, one level at a time, as
+    The periods fold at C level, in lanes of B bytes, the fewest that hold
+    W - 1 for the period product W = run[0] * ... * run[L-1].  Strided
+    slice assignment puts the digit of phase j of each period in the low
+    bytes of a lane of its own, and X = X * run[j] + (those lanes), for
+    j = 0, ..., L-1, leaves in each lane that period's base-W digit, below
+    W, so no lane carries; each step multiplies X by one base, never by a
+    product of bases.  Up to W = 36 those digits become text, and
+    int(text, W) reads them in chunks of _CHUNK (a power of two W in one
+    piece, as int() is linear there): on 30,000 digits that is 0.2 to 0.8
+    ms faster than the merge below.  Past 36, neighbouring lanes merge
+    inside the int, one level at a time, as
     X = (X >> w & mask) * R + (X & mask): lanes of w bits that hold n
     digits each, from w = 8 * B and n = 1, become lanes of 2w bits that
     hold 2n, R = W**n, and W**2n <= 2**2w keeps every lane apart.  Zero
@@ -98,23 +94,16 @@ def fold(
     digits, chunks of 512 to 1,152 bits merged fastest at B = 2, 4 and 9
     (Python 3.11.7).  The chunks merge by _merge_runs over W**chunk; every
     power of W = 2**a * r, r odd, is taken as _merge_runs takes its own, an
-    odd power and a shift: W**k = r**k << a * k.  A first, shorter chunk, a
-    partial last period (folded by _fold) and the prefix part (by
-    _positional) join that result once.
+    odd power and a shift: W**k = r**k << a * k.  A first, shorter chunk
+    joins that result once.
     """
-    head, D, bs, run = packed
-    W = math.prod(run)
-    L = len(run)
-    K = (len(digits) - head) // L
+    W, L = math.prod(run), len(run)
     B = -(-(W - 1).bit_length() // 8)
     lanes = 0
-    for j, q in enumerate(run):
-        if B == 1:  # one byte a lane, so one a digit: phase j's digits are the lanes
-            row = bs[j : K * L : L]
-        else:  # each digit's D bytes go to the low end of a zeroed lane
-            row = bytearray(K * B)
-            for i in range(D):
-                row[B - D + i :: B] = bs[j * D + i : K * L * D : L * D]
+    for j, q in enumerate(run):  # each digit's D bytes go to the low end of a zeroed lane
+        row = bytearray(K * B)
+        for i in range(D):
+            row[B - D + i :: B] = bs[j * D + i :: L * D]
         lanes = lanes * q + int.from_bytes(row, "big")
     a = (W & -W).bit_length() - 1
     r = W >> a
@@ -138,11 +127,6 @@ def fold(
     num, prod = _merge_runs(nums, r**step << a * step) if nums else (0, 1)
     if lead:
         num, prod = first * prod + num, r**lead * prod << a * lead
-    tail_num, tail_prod = _fold(zip(run, digits[head + K * L :]))
-    num, prod = num * tail_prod + tail_num, prod * tail_prod
-    if head:
-        head_num, head_prod = _positional(digits[:head], Q, start)
-        num, prod = head_num * prod + num, head_prod * prod
     return num, prod
 
 
@@ -161,35 +145,28 @@ def _digit_table(after: int, q: int) -> bytes:
     return (block * -(-256 // size))[:256]
 
 
-def expand_lanes(u: int, v: int, Q: ListBacked, count: int) -> tuple[tuple[int, ...], int]:
-    """expansion._digits(u, v, the first count bases of Q) for a Q whose
-    period bases are all at most 256, so every digit past the prefix is a
-    byte; any v >= 1 works, and expand hands over v of at most _LANE_BITS
-    bits, where the lanes are faster.
+def expand_lanes(u: int, v: int, run: tuple[int, ...], K: int) -> tuple[bytearray, int]:
+    """expansion._digits(u, v, run * K), the digits in a bytearray, for a
+    run of bases all at most 256, so every digit is a byte; any v >= 1
+    works, and expansion._expand hands over v of at most _LANE_BITS bits,
+    where the lanes are faster.
 
-    The digits over the prefix and of a last partial period come from
-    _digits.  The K whole periods past the prefix run on at most _LANES
-    lanes, S periods each: lane i, a bit field B bits wide of one int,
-    starts at the residue of period i * S, u * W**(i*S) mod v for the
-    period product W, built by doubling (lanes k..2k-1 are lanes 0..k-1
-    times W**(k*S) mod v).  A lane then walks its S * L bases in greedy
-    runs of consecutive bases whose product c is at most 256.  One
-    multiply of the whole int by c and one lane-wise division by v (see
-    _lane_mulmod) give every lane's quotient b < c, one byte per lane, and
-    its residue after the run.  b holds the run's digits in mixed radix,
-    and one translate per base, b -> b // after % q with `after` the
-    product of the run's later bases, writes that base's digit of every
-    lane to every (S * L)-th byte of the output.  S is at least
-    ceil(K / _LANES), and at least the g periods whose product is at most
-    256, so that short expansions take whole runs too: const:2 steps 8
-    bases at once, periodic:2,3 six and const:10 two.
+    The K periods run on at most _LANES lanes, S periods each: lane i, a
+    bit field B bits wide of one int, starts at the residue of period
+    i * S, u * W**(i*S) mod v for the period product W, built by doubling
+    (lanes k..2k-1 are lanes 0..k-1 times W**(k*S) mod v).  A lane then
+    walks its S * L bases in greedy runs of consecutive bases whose
+    product c is at most 256.  One multiply of the whole int by c and one
+    lane-wise division by v (see _lane_mulmod) give every lane's quotient
+    b < c, one byte per lane, and its residue after the run.  b holds the
+    run's digits in mixed radix, and one translate per base,
+    b -> b // after % q with `after` the product of the run's later bases,
+    writes that base's digit of every lane to every (S * L)-th byte of the
+    output.  S is at least ceil(K / _LANES), and at least the g periods
+    whose product is at most 256, so that short expansions take whole runs
+    too: const:2 steps 8 bases at once, periodic:2,3 six and const:10 two.
     """
-    pre, per = Q.prefix, Q.period
-    head = min(count, len(pre))
-    first, u = _digits(u, v, pre[:head])
-    L = len(per)
-    K, tail = divmod(count - head, L)
-    W = math.prod(per)
+    W, L = math.prod(run), len(run)
     g = 1  # the periods that one run of product at most 256 can hold
     while W ** (g + 1) <= 256:
         g += 1
@@ -203,7 +180,7 @@ def expand_lanes(u: int, v: int, Q: ListBacked, count: int) -> tuple[tuple[int, 
         more = min(k, lanes - k)
         residues |= mulmod(residues & ((1 << more * B) - 1), power)[1] << k * B
         k, power = k + more, power * power % v
-    bases, j = per * S, 0
+    bases, j = run * S, 0
     while j < span:
         c, end = bases[j], j + 1
         while end < span and c * bases[end] <= 256:
@@ -215,9 +192,7 @@ def expand_lanes(u: int, v: int, Q: ListBacked, count: int) -> tuple[tuple[int, 
             out[i::span] = b.translate(_digit_table(c, bases[i]))
         j = end
     del out[K * L :]  # the last lane's periods past K
-    last, u = _digits(pow(W, K, v) * u % v, v, per[:tail])
-    out += bytes(last)
-    return first + tuple(out) if first else tuple(out), u
+    return out, pow(W, K, v) * u % v
 
 
 def _lane_mulmod(v: int, lanes: int) -> tuple[Callable[[int, int], tuple[int, int]], int]:

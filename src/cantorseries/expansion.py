@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import countOf, ge
+from operator import countOf, ge, lt
 
 from .foundation import (
     DomainError,
@@ -31,6 +31,7 @@ from .foundation import (
     _record,
     _sequence,
     _span,
+    _split,
     _unchecked,
     iter_bases,
 )
@@ -100,9 +101,9 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
 def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Digits e_1..e_m of reduced u/v under the given bases, and the last
     state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
-    integers, as sigma^k(u/v) = u_k/v.  Long expansions of a v of at most
-    _LANE_BITS bits on a list-backed Q take _packing.expand_lanes instead
-    (see expand).
+    integers, as sigma^k(u/v) = u_k/v.  The whole periods of long
+    expansions of a v of at most _LANE_BITS bits on a list-backed Q take
+    _packing.expand_lanes instead (see _expand).
 
     While v is wider than the product P of the next _RUN bases, one step
     N, u_{k+r} = divmod(u_k * P, v) crosses them all (the partial-sum
@@ -161,43 +162,47 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
 _pack = _fold_packed = None
 
 
-def _packed(word: DigitWord, Q: QSequence) -> tuple[int, int, bytes, tuple[int, ...]] | None:
-    """validate_digits(word, Q), returning _packing.pack's form of the word
-    when it has one: it has more than _RUN digits on a list-backed Q with a
-    period of at most _RUN bases, and its digits past the prefix are below
-    2**16 and their bases.  The prefix part and every other word are checked
-    one step per digit, and so is the whole word once the packed check
-    fails, to name the first bad digit.
+def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], tuple[int, bytes]] | None:
+    """validate_digits(word, Q), returning foundation._split's cut of the
+    word and _packing.pack's form of its whole periods when it has one: it
+    has more than _RUN digits on a list-backed Q with a period of at most
+    _RUN bases, and the digits of its whole periods past the prefix are
+    below 2**16.  The prefix part and the last partial period are checked
+    one step per digit, and so is every other word, and the whole word
+    once a check fails, to name the first bad digit.
     """
     global _pack, _fold_packed
     digits, start = _of(DigitWord, word).digits, word.start
-    packed = None
     if len(digits) > _RUN and isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
         if _pack is None:
             from ._packing import fold as _fold_packed, pack as _pack
-        if (packed := _pack(digits, Q, start)) is not None:
-            digits = digits[: packed[0]]
+        head, run, K, tail = split = _split(Q, start, len(digits))
+        end = len(digits) - tail
+        rest = map(lt, digits[:head] + digits[end:], Q.prefix[start - 1 : start - 1 + head] + run)
+        if (packed := _pack(digits[head:end], run)) is not None and all(rest):
+            return split, packed
     qs = _span(_sequence(Q), start, len(digits))
     k = next(compress(range(len(digits)), map(ge, digits, qs)), None)
     if k is not None:
         raise DomainError(f"digit {digits[k]} at position {start + k} out of range for base {qs[k]}")
-    return packed
+    return None
 
 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1};
     the DomainError names the first digit out of range.  Past the prefix of
-    a list-backed Q, a long word is checked by one C-level pass per period
-    phase (see _packed)."""
+    a list-backed Q, the whole periods of a long word are checked by one
+    C-level pass per period phase (see _packed)."""
     _packed(word, Q)
 
 
 def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
     """validate_digits(word, Q), then _positional(word.digits, Q, word.start):
     for a word of at most _RUN digits, one loop over its _span (a bad digit
-    goes to _packed, which names the first); for a longer one, both from
-    its packed form where it has one, whose whole periods _packing.fold
-    reads at C level."""
+    goes to _packed, which names the first); for a longer one, from the
+    packed form of its whole periods where it has one, which _packing.fold
+    reads at C level, joined once by the last partial period (folded by
+    _fold) and the prefix part (by _positional)."""
     digits, start = _of(DigitWord, word).digits, word.start
     if len(digits) <= _RUN:
         qs = _span(_sequence(Q), start, len(digits))
@@ -209,7 +214,14 @@ def _word_positional(word: DigitWord, Q: QSequence) -> tuple[int, int]:
         return num, math.prod(qs)
     if (packed := _packed(word, Q)) is None:
         return _positional(digits, Q, start)
-    return _fold_packed(digits, Q, start, packed)
+    (head, run, K, tail), (D, bs) = packed
+    num, prod = _fold_packed(K, D, bs, run)
+    tail_num, tail_prod = _fold(zip(run, digits[len(digits) - tail :]))
+    num, prod = num * tail_prod + tail_num, prod * tail_prod
+    if head:
+        head_num, head_prod = _positional(digits[:head], Q, start)
+        num, prod = head_num * prod + num, head_prod * prod
+    return num, prod
 
 
 def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
@@ -225,44 +237,60 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
 
 
-# expand hands counts of at least _LANES_FROM digits (doubled at 48, 56 and
+# _expand hands counts of at least _LANES_FROM digits (doubled at 48, 56 and
 # 64 bits of v) of a v of at most _LANE_BITS bits on a list-backed Q to
-# _packing.expand_lanes (see expand).
+# _packing.expand_lanes.
 _LANES_FROM = 256
 _LANE_BITS = 64
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
+
+
+def _expand(u: int, v: int, Q: QSequence, lo: int, count: int) -> tuple[tuple[int, ...], int]:
+    """_digits(u, v, _span(Q, lo, count)): the digits of reduced u/v under
+    the count bases from position lo, and the last state.
+
+    _digits makes them, one step per digit, unless v has at most
+    _LANE_BITS bits, Q is list-backed with a period of at most _RUN bases,
+    all at most 256, and count is at least _LANES_FROM, doubled at 48, 56
+    and 64 bits of v: there _packing.expand_lanes steps the whole periods
+    past the prefix (foundation._split) on up to 1024 lanes of one int, a
+    run of bases of product at most 256 per step, and _digits takes the
+    prefix part and the last partial period.  The n + m digits of
+    12345/30011 took 0.13 to 0.22 times the loop's time (30,010 digits on
+    const:2 in 0.35 ms, against 2.8 ms).  The lanes overtake the loop by
+    256 digits up to 47 bits of v on the benchmark's list-backed
+    sequences; const:10, the slowest on them, breaks even near 384 to 512
+    digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7, shared
+    VM).
+    """
+    global _expand_lanes
+    if count < _LANES_FROM or not (
+        isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
+        and count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5
+    ):
+        return _digits(u, v, _span(Q, lo, count))
+    if _expand_lanes is None:
+        from ._packing import expand_lanes as _expand_lanes
+    head, run, K, tail = _split(Q, lo, count)
+    first, u = _digits(u, v, Q.prefix[lo - 1 : lo - 1 + head])
+    out, u = _expand_lanes(u, v, run, K)
+    last, u = _digits(u, v, run[:tail])
+    out += bytes(last)
+    return first + tuple(out) if first else tuple(out), u
 
 
 def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, ShiftState]:
     """First `count` digits of x under Q, plus the exact final shift state.
 
     Digits follow the greedy floor rule, which picks the terminating (all
-    zero tail) representation whenever two exist.  _digits makes them, one
-    step per digit over the _span of count bases, unless v = x.denominator
-    has at most _LANE_BITS bits, Q is list-backed with a period of at most
-    _RUN bases, all at most 256, and count is at least _LANES_FROM, doubled
-    at 48, 56 and 64 bits of v: there _packing.expand_lanes steps up to
-    1024 lanes of one int, a run of bases of product at most 256 per step.
-    The n + m digits of 12345/30011 took 0.13 to 0.22 times the loop's time
-    (30,010 digits on const:2 in 0.35 ms, against 2.8 ms).  The lanes
-    overtake the loop by 256 digits up to 47 bits of v on the benchmark's
-    list-backed sequences; const:10, the slowest on them, breaks even near
-    384 to 512 digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7,
-    shared VM).
+    zero tail) representation whenever two exist.  _expand makes them:
+    one step per digit, or whole periods at once on lanes of one int for a
+    long expansion on a list-backed Q at a v = x.denominator of at most 64
+    bits.
     """
-    global _expand_lanes
     x = _unit_value(x)
-    u, v = x.numerator, x.denominator
     _sequence(Q)  # a Q that is not a QSequence raises TypeError before a bad count
-    if _check_int(count, 1, "digit count") < _LANES_FROM or not (
-        isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
-        and count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5
-    ):
-        digits, u = _digits(u, v, _span(Q, 1, _check_count(count)))
-    else:
-        if _expand_lanes is None:
-            from ._packing import expand_lanes as _expand_lanes
-        digits, u = _expand_lanes(u, v, Q, _check_count(count))
+    digits, u = _expand(x.numerator, v := x.denominator, Q, 1, _check_count(_check_int(count, 1, "digit count")))
     return _unchecked(DigitWord, digits, 1), _unchecked(ShiftState, count, Fraction(u, v))
 
 

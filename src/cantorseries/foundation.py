@@ -269,6 +269,17 @@ def _span(Q: QSequence, lo: int, count: int) -> Sequence[int]:
     return head + _span(Q, len(pre) + 1, count - len(head))
 
 
+def _split(Q: ListBacked, lo: int, count: int) -> tuple[int, tuple[int, ...], int, int]:
+    """(head, run, K, tail): the count positions from lo of a list-backed Q
+    are `head` bases of the prefix, then K whole periods of `run`, the
+    period rotated to the phase of position lo + head, then run[:tail]."""
+    pre, per = Q.prefix, Q.period
+    head = min(count, max(0, len(pre) - lo + 1))
+    phase = (lo + head - len(pre) - 1) % len(per)
+    K, tail = divmod(count - head, len(per))
+    return head, per[phase:] + per[:phase], K, tail
+
+
 def bases(Q: QSequence, count: int, start: int = 1) -> tuple[int, ...]:
     """The bases q_start, ..., q_{start+count-1}."""
     _check_int(start, 1, "base position")

@@ -36,6 +36,7 @@ from .foundation import (
 from .expansion import (
     DigitWord,
     _digits,
+    _expand,
     _unit_value,
     _word_positional,
     evaluate_finite,
@@ -224,14 +225,16 @@ def shift_constant_check(
     """Check e_n/(q_n - 1) = sigma^{n0}(x) for n0 < n <= n0 + horizon.
 
     Block descriptions are reconstructed to their exact value first.  The
-    window steps its `horizon` bases from sigma^{n0}(x) = a/b, one modular
-    power by shift_value, and each position is compared in integers,
-    e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0; one ending
-    past sys.maxsize raises DomainError.  For a list-backed Q the pair (shift
-    state, position in period) recurs within denominator * period steps, so
-    a clean window of that length decides the property for all n; shorter
-    clean windows are reported as inconclusive, while any failing window is
-    conclusive by counterexample.
+    window's digits are expansion._expand's over its `horizon` bases from
+    sigma^{n0}(x) = a/b, one modular power by shift_value: on lanes of one
+    int for a long window on a list-backed Q at a b of at most 64 bits, as
+    in expand, else one step per digit.  Each position is compared in
+    integers, e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0;
+    one ending past sys.maxsize raises DomainError.  For a list-backed Q
+    the pair (shift state, position in period) recurs within denominator *
+    period steps, so a clean window of that length decides the property
+    for all n; shorter clean windows are reported as inconclusive, while
+    any failing window is conclusive by counterexample.
     """
     if not isinstance(x, (int, Fraction)):  # rationality loads only for a BlockDescription
         from .rationality import BlockDescription, reconstruct
@@ -243,8 +246,8 @@ def shift_constant_check(
 
     target = shift_value(x, Q, n0)
     a, b = target.numerator, target.denominator
+    digits, _ = _expand(a, b, Q, n0 + 1, horizon)
     qs = bases(Q, horizon, n0 + 1)
-    digits, _ = _digits(a, b, qs)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
     holds = all(e * b == (q - 1) * a for e, q in zip(digits, qs))
     conclusive = not holds or (

@@ -405,6 +405,50 @@ def lane_cases(draw, period):
 
 
 @st.composite
+def window_cases(draw, period):
+    """(x, Q, n0, horizon) for shift_constant_check over the given period.
+
+    The prefix is as in lane_cases.  n0 falls before, on or after the
+    prefix's end, or anywhere up to two periods past it, so at any period
+    phase.  Half the time x has random digits up to n0 and then
+    sigma^n0(x) = k/g, g the gcd of q - 1 over every base past n0, so the
+    window holds; else x = u/v with v as in lane_cases.  The horizon is the
+    lane threshold for any v or for sigma^n0(x)'s denominator b, one less
+    or one more; or it leaves K whole periods past the prefix, K up to one
+    past LANES, plus a partial last period.
+    """
+    prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
+                            st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
+    Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    edge, L = len(prefix), len(period)
+    n0 = draw(st.one_of(st.sampled_from(sorted({max(edge - 1, 0), edge, edge + 1})),
+                        st.integers(min_value=0, max_value=edge + 2 * L)))
+    before = (prefix + period * -(-n0 // L))[:n0]  # q_1 .. q_n0
+    if draw(st.booleans()):
+        g = math.gcd(*(q - 1 for q in prefix[n0:] + period))
+        target = Fraction(draw(st.integers(min_value=0, max_value=g - 1)), g)
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+        x, weight = Fraction(0), Fraction(1)
+        for q in before:
+            weight /= q
+            x += rng.randrange(q) * weight
+        x += target * weight
+    else:
+        v = draw(st.one_of(
+            st.sampled_from([1, 2**47 - 115, 2**47 + 5, 2**63 - 25, 2**LANE_BITS - 59, 2**LANE_BITS + 13]),
+            st.integers(min_value=2, max_value=2**LANE_BITS),
+            st.lists(st.sampled_from(period), min_size=1, max_size=6).map(math.prod),
+        ))
+        x = Fraction(draw(st.integers(min_value=0, max_value=v - 1)), v)
+    b = x.denominator // math.gcd(x.denominator, math.prod(before))
+    K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES + 1]))
+    past = max(0, edge - n0) + K * L + draw(st.integers(min_value=0, max_value=L - 1))
+    least = lanes_from(b)
+    horizon = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1, past]))
+    return x, Q, n0, max(horizon, 1)
+
+
+@st.composite
 def span_cases(draw):
     """(Q, base, lo, count) for runs of up to 130 bases: base(k) is q_k,
     read from the constructor arguments alone (or the rule's formula).

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantorseries
+from cantorseries import ParseError, parse_qseq
 from cantorseries.cli import _COMMANDS, _COMMON, _UsageError, _parse_args, main
 
 
@@ -277,6 +278,23 @@ def test_main_leaves_the_int_to_str_limit_as_it_found_it(capsys):
         sys.set_int_max_str_digits(caller)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7")
+def test_a_base_past_the_int_digit_limit_parses_only_in_the_cli(capsys):
+    # 5,001 digits pass Python's default limit of 4,300: parse_qseq refuses
+    # them under that limit, and main, which lifts it for its own call,
+    # reads them and then restores it
+    text = "const:1" + "0" * 5000
+    caller = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ParseError):
+            parse_qseq(text)
+        assert run_cli(capsys, "eval", "--q", text, "--x", "rat:1/3") == (0, "form: rat\nvalue: 1/3\n", "")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -437,7 +455,8 @@ def test_a_private_name_is_not_looked_up_in_the_library():
     # hasattr(package, "_packing"), which `from . import _packing` makes
     # before it imports, and any other private or dunder name but __all__,
     # fail at once without loading the four library modules; the import
-    # form then loads _packing alone, and public names still resolve
+    # form then loads _packing and foundation alone, and public names
+    # still resolve
     probe = (
         "import sys, cantorseries\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('cantorseries.'))\n"
@@ -447,7 +466,7 @@ def test_a_private_name_is_not_looked_up_in_the_library():
         "print(cantorseries.expand.__name__, len(cantorseries.__all__), len(loaded()))"
     )
     done = run_child(["-S", "-c", probe])
-    lines = ["False False []", "['cantorseries._packing', 'cantorseries.expansion', 'cantorseries.foundation']",
+    lines = ["False False []", "['cantorseries._packing', 'cantorseries.foundation']",
              "expand 50 5"]
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, lines, "")
 

@@ -20,7 +20,8 @@ from cantorseries import (
     shift_value,
     validate_digits,
 )
-from helpers import oracle_digits, oracle_shift_states, oracle_value
+from cantorseries.expansion import _packed, _word_positional
+from helpers import oracle_digits, oracle_positional, oracle_shift_states, oracle_value
 
 ODD = Rule("odd")
 P23 = Periodic((2, 3))
@@ -200,6 +201,18 @@ def test_validate_digits_names_the_first_bad_position_and_its_base():
         validate_digits(DigitWord((299, 1) * 40 + (300, 1) + (0, 1) * 10), parse_qseq("periodic:300,2"))
     assert str(bad.value) == "digit 300 at position 81 out of range for base 300"
     validate_digits(DigitWord((2, 3, 4, 5), start=1), Q)
+
+
+def test_a_long_word_of_digits_past_two_bytes_folds_one_multiply_per_digit():
+    # 65536 fits no two bytes, so the word is not packed: it is checked
+    # and folded one step per digit, and a bad digit is named as before
+    Q = Periodic((65537, 3))
+    digits = (65536, 2) * 40
+    assert _packed(DigitWord(digits), Q) is None
+    assert _word_positional(DigitWord(digits), Q) == oracle_positional(digits, (65537, 3) * 40)
+    with pytest.raises(DomainError) as bad:
+        evaluate_finite(DigitWord(digits[:40] + (65537,) + digits[41:]), Q)
+    assert str(bad.value) == "digit 65537 at position 41 out of range for base 65537"
 
 
 class Int(int):

@@ -66,6 +66,7 @@ from helpers import (
     sequences_with_literal_bases,
     span_cases,
     wide_fractions,
+    window_cases,
 )
 
 
@@ -204,6 +205,32 @@ def test_lane_expansion_matches_the_greedy_digits(period, data):
     assert word == DigitWord(digits) and state == ShiftState(count, value)
     lanes = count >= lanes_from(x.denominator) and len(period) <= 64 and max(period) <= 256
     assert bool(calls) == (lanes and x.denominator.bit_length() <= LANE_BITS)
+
+
+@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_shift_constant_window_takes_the_lanes_from_any_start(period, data):
+    # The window's witnesses and verdict are those of plain Fraction steps
+    # from position 1, from any n0.  Its digits come off the lanes exactly
+    # when expand's would for `horizon` digits of sigma^n0(x) = a/b: a
+    # horizon of at least lanes_from(b), a period of at most 64 bases, all
+    # at most 256, and b of at most LANE_BITS bits.
+    x, Q, n0, horizon = data.draw(window_cases(period))
+    real = _packing.expand_lanes
+    calls = []
+    with mock.patch.object(_packing, "expand_lanes", lambda *args: calls.append(args) or real(*args)), \
+            mock.patch.object(expansion, "_expand_lanes", None):
+        report = shift_constant_check(x, Q, n0, horizon)
+    digits, _ = oracle_digits(x, Q, n0 + horizon)
+    target = oracle_digits(x, Q, n0)[1]
+    positions = range(n0 + 1, n0 + horizon + 1)
+    qs = [q_at(Q, k) for k in positions]
+    holds = all(Fraction(e, q - 1) == target for e, q in zip(digits[n0:], qs))
+    assert report.ratio_witnesses == tuple(zip(positions, digits[n0:], qs))
+    assert (report.holds, report.after, report.constant) == (holds, n0, target if holds else None)
+    lanes = horizon >= lanes_from(target.denominator) and len(period) <= 64 and max(period) <= 256
+    assert bool(calls) == (lanes and target.denominator.bit_length() <= LANE_BITS)
 
 
 @given(
