@@ -94,10 +94,14 @@ def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
     """Exact value: head digits plus the trailing-maximum tail.
 
     The tail sum telescopes to exactly one unit of the head's last weight:
-    sum_{k>m} (q_k - 1)/(q1...q_k) = 1/(q1...q_m).
+    sum_{k>m} (q_k - 1)/(q1...q_k) = 1/(q1...q_m), so the head is
+    evaluated as local_value is, from a tail worth 1.  An all-maximal head
+    is worth the excluded endpoint 1, a DomainError.
     """
-    num, prod = _word_positional(_of(CofiniteExpansion, cof).head, Q)
-    return Fraction(num + 1, prod)
+    num, den = _word_positional(_of(CofiniteExpansion, cof).head, Q, 1)
+    if num == den:
+        raise DomainError("all-maximal head describes the excluded endpoint value 1")
+    return Fraction(num, den)
 
 
 @_record

@@ -289,6 +289,61 @@ def positional_cases(draw):
     return Q, (prefix + period * -(-reach // L))[:reach], start, length
 
 
+def oracle_walked(digits, qs, tail: int = 0) -> int:
+    """How many digits, counted from the right, are worth a fraction of
+    denominator at most 2**64 with the tail after them, by plain Fraction
+    arithmetic: the digits that evaluation walks before it folds the rest."""
+    value = Fraction(tail)
+    for walked, (d, q) in enumerate(zip(reversed(digits), reversed(qs[: len(digits)]))):
+        if value.denominator > 2**64:
+            return walked
+        value = (d + value) / q
+    return len(digits)
+
+
+@st.composite
+def walk_cases(draw):
+    """(Q, literal bases from position 1, start, digits) for evaluation
+    from the right, on rule:odd or on a period of 65 to 80 bases, so never
+    packed.
+
+    The word has 64, 65 or 129 digits, or 65 to 300, at a start of 1 to
+    20.  Right of a left part of random digits (none, some, or the whole
+    word) it holds the expansion of c/q_k from its own first position, q_k
+    the base at a drawn position k: every tail of it is worth a fraction
+    whose denominator divides q_k, and it is 0 from position k on, so the
+    word may end in zeros.  Past the left part's first few digits the
+    value's denominator passes 2**64.  Half the time one digit is out of
+    range, on either side of the point where the walk stops.
+    """
+    if draw(st.booleans()):
+        Q, period, prefix = Rule("odd"), None, []
+    else:
+        prefix = draw(st.lists(base_entries(), max_size=3))
+        period = draw(st.lists(base_entries(), min_size=65, max_size=80))
+        Q = PrefixPeriodic(prefix, period) if prefix else Periodic(period)
+    start = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=20)))
+    length = draw(st.one_of(st.sampled_from([64, 65, 129]), st.integers(min_value=65, max_value=300)))
+    reach = start + length
+    literal = [2 * k + 1 for k in range(1, reach)] if period is None else (prefix + period * reach)[: reach - 1]
+    qs = literal[start - 1 :]
+    left = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=length)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    digits = [rng.randrange(q) for q in qs[:left]]
+    if left < length:
+        q_k = qs[draw(st.one_of(st.just(length - 1), st.integers(min_value=left, max_value=length - 1)))]
+        value = Fraction(draw(st.integers(min_value=0, max_value=q_k - 1)), q_k)
+        for q in qs[left:]:
+            digits.append(math.floor(value * q))
+            value = value * q - digits[-1]
+    if draw(st.booleans()):
+        stop = length - oracle_walked(digits, qs)
+        at = draw(st.integers(min_value=0, max_value=stop - 1) if stop and draw(st.booleans())
+                  else st.integers(min_value=stop, max_value=length - 1))
+        digits[at] = draw(st.sampled_from(BAD_DIGITS))(qs[at])
+    return Q, literal, start, tuple(digits)
+
+
 # Periods for the packed check and fold: products W from 2 to 36, the last
 # that int(text, W) reads (36 as periodic:6,6 and as const:36), powers of
 # two (read in one piece), and past it the lane-pair merge from lanes of the

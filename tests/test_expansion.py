@@ -1,16 +1,20 @@
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from cantorseries import (
+    CofiniteExpansion,
     Constant,
     DigitWord,
     DomainError,
     Periodic,
     Rule,
     ShiftState,
+    cofinite_value,
     digit_stream,
+    dual_representation,
     enclosure,
     evaluate_finite,
     expand,
@@ -20,6 +24,7 @@ from cantorseries import (
     shift_value,
     validate_digits,
 )
+from cantorseries import _packing, expansion
 from cantorseries.expansion import _packed, _word_positional
 from helpers import oracle_digits, oracle_positional, oracle_shift_states, oracle_value
 
@@ -213,6 +218,37 @@ def test_a_long_word_of_digits_past_two_bytes_folds_one_multiply_per_digit():
     with pytest.raises(DomainError) as bad:
         evaluate_finite(DigitWord(digits[:40] + (65537,) + digits[41:]), Q)
     assert str(bad.value) == "digit 65537 at position 41 out of range for base 65537"
+
+
+
+def test_a_small_denominator_builds_no_product_tree_and_a_packed_word_never_walks():
+    # The 10,005-digit dual forms of u/20011 on rule:odd are worth fractions
+    # of denominator 20011 from every digit on, so they are walked whole:
+    # no _positional fold and no merge.  A 30,010-digit const:10 word
+    # folds from its packed periods and is never walked.
+    calls = []
+
+    def counting(name):
+        real = getattr(expansion, name)
+        return mock.patch.object(expansion, name, lambda *args: calls.append(name) or real(*args))
+
+    x = Fraction(12345, 20011)
+    report = dual_representation(x, ODD, 10005)
+    assert len(report.finite_form) == 10005
+    with counting("_positional"), counting("_merge_runs"), counting("_walk"):
+        assert evaluate_finite(report.finite_form, ODD) == x
+        assert cofinite_value(report.cofinite_form, ODD) == x
+    assert calls == ["_walk", "_walk"]
+    C10 = Constant(10)
+    word, _ = expand(Fraction(12345, 30011), C10, 30010)
+    num, prod = oracle_positional(word.digits, [10] * 30010)
+    calls.clear()
+    real = _packing.fold
+    with counting("_walk"), mock.patch.object(_packing, "fold", lambda *args: calls.append("fold") or real(*args)), \
+            mock.patch.object(expansion, "_pack", None), mock.patch.object(expansion, "_fold_packed", None):
+        assert evaluate_finite(word, C10) == local_value(word, C10) == Fraction(num, prod)
+        assert cofinite_value(CofiniteExpansion(word), C10) == Fraction(num + 1, prod)
+    assert calls == ["fold", "fold", "fold"]
 
 
 class Int(int):

@@ -59,12 +59,14 @@ from helpers import (
     oracle_regroup,
     oracle_positional,
     oracle_shift_states,
+    oracle_walked,
     packed_cases,
     positional_cases,
     proper_fractions,
     qseqs,
     sequences_with_literal_bases,
     span_cases,
+    walk_cases,
     wide_fractions,
     window_cases,
 )
@@ -160,6 +162,46 @@ def test_positional_matches_one_multiply_per_digit(case, rng):
     qs = literal[start - 1 : start - 1 + length]
     digits = tuple(rng.randrange(q) for q in qs)
     assert _positional(digits, Q, start) == oracle_positional(digits, qs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases())
+def test_evaluation_from_the_right_matches_one_multiply_per_digit(case):
+    # local_value, evaluate_finite and cofinite_value (worth one more unit
+    # of the last weight) equal the one-multiply-per-digit fold, and name
+    # the first bad digit; past 64 digits the digits worth a fraction of
+    # denominator at most 2**64 are walked from the right, and _positional
+    # folds the rest, once.
+    Q, literal, start, digits = case
+    folded = []
+    real = expansion._positional
+
+    def positional(part, *args):
+        folded.append(len(part))
+        return real(part, *args)
+
+    words = [(local_value, DigitWord(digits, start), literal[start - 1 :], 0)]
+    if start == 1:
+        last = max((i for i, d in enumerate(digits) if d), default=None)
+        twin = () if last is None else digits[:last] + (digits[last] - 1,)
+        words += [(evaluate_finite, DigitWord(digits), literal, 0), (cofinite_value, DigitWord(digits), literal, 1)]
+        # the cofinite twin of a finite form, worth the same
+        words += [(cofinite_value, DigitWord(twin), literal, 1)] if twin else []
+    for call, word, qs, tail in words:
+        arg = CofiniteExpansion(word) if call is cofinite_value else word
+        bad = oracle_digit_error(word.digits, qs, word.start)
+        num, prod = oracle_positional(word.digits, qs)
+        folded.clear()
+        with mock.patch.object(expansion, "_positional", positional):
+            if bad is not None:
+                _raises_exactly(bad, call, arg, Q)
+                continue
+            if num + tail == prod:
+                _raises_exactly("all-maximal head describes the excluded endpoint value 1", call, arg, Q)
+                continue
+            assert call(arg, Q) == Fraction(num + tail, prod)
+        stop = len(word) - oracle_walked(word.digits, qs, tail)
+        assert folded == ([stop] if stop and len(word) > 64 else [])
 
 
 @pytest.mark.parametrize("period", PACKED_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")

@@ -188,7 +188,7 @@ VALID_CALLS = {
     "bases": dict(Q=Q23, count=3),
     "block_description": dict(x=Fraction(1, 3), Q=Q23),
     "certify_rational": dict(x=Fraction(1, 3), Q=Q23),
-    "cofinite_value": dict(cof=CofiniteExpansion(DigitWord((1,))), Q=Q23),
+    "cofinite_value": dict(cof=CofiniteExpansion(DigitWord((0,))), Q=Q23),
     "convert_dual": dict(form=DigitWord((1, 0)), Q=Q23),
     "digit_stream": dict(x=Fraction(1, 3), Q=Q23),
     "dual_representation": dict(x=Fraction(1, 2), Q=Q23),

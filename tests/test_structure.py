@@ -192,6 +192,18 @@ def test_fold_cofinite_rejects_all_maximal():
         fold_cofinite((1, 2), P23)  # folds to the empty head, value 1
 
 
+@pytest.mark.parametrize("head, Q", [
+    ((1,), P23),
+    ((1, 2), P23),
+    # past 64 digits on rule:odd the head is walked from the right
+    (tuple(2 * k for k in range(1, 71)), Rule("odd")),
+], ids=["1 on 2,3", "1,2 on 2,3", "70 digits on odd"])
+def test_cofinite_value_rejects_an_all_maximal_head(head, Q):
+    # worth the excluded endpoint 1, as fold_cofinite and reconstruct say
+    with pytest.raises(DomainError, match="^all-maximal head describes the excluded endpoint value 1$"):
+        cofinite_value(CofiniteExpansion(DigitWord(head)), Q)
+
+
 def test_convert_involution_on_dual_values():
     for r in range(2, 25):
         for p in range(1, r):
