@@ -4,16 +4,18 @@ packed in lanes of one int.
 
 expansion hands over the whole periods, past the prefix, of a word of more
 than _RUN digits on a list-backed Q with a period of L <= _RUN bases, and
-of an expansion of at least _LANES_FROM digits (more past 47 bits of v) on
-such a Q with every period base at most 256 and a denominator of at most
-_LANE_BITS bits; foundation._split cuts them out, and expansion runs the
-prefix part and a last partial period.  Both paths keep one period's
-digits or residue in a lane of one int (SWAR, L. Lamport, CACM 18 (1975),
-471-475): the fold reads every period at C level, in lanes of as many
-bytes as its product needs, and the expansion steps every lane through a
-run of bases of product up to 256 at once.  The module is imported on
-first use, not with the package, so a cold call on short words does not
-compile it.
+of an expansion of at least _LANES_FROM digits on such a Q with every
+period base at most 256: for a denominator of at most _LANE_BITS bits
+(more digits past 47 bits), or for a wider one when the period product has
+at most _LANE_BITS bits; foundation._split cuts them out, and expansion
+runs the prefix part and a last partial period.  Both paths keep one
+period's digits or residue in a lane of one int (SWAR, L. Lamport, CACM 18
+(1975), 471-475): the fold reads every period at C level, in lanes of as
+many bytes as its product needs, and the expansion steps every lane
+through a run of bases of product up to 256 at once, its lanes started at
+residues of a narrow denominator or, for a wide one, at the leaves of one
+division per chunk.  The module is imported on first use, not with the
+package, so a cold call on short words does not compile it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,18 @@ _CHUNK = 256
 # for; 256 and 4096 lanes ran within 10% of it on 30,000 digits (Python
 # 3.11.7, shared VM).
 _LANES = 1024
+# For a v past 64 bits, expand_lanes' lane modulus, the largest power of the
+# period product below 2**_LEAF_BITS (the product itself past that), and its
+# chunks of about _CHUNK_BITS bits, one division by v each.  Swept over 16-64 and 256-4,096 bits on the
+# six list-backed dual forms of the benchmark, the sum of their times was
+# least at 24 and 1,024 (2.61 ms; 2.74 at 32 and 512, 3.24 at 64 and 1,024,
+# 3.56 at 64 and 4,096): a narrower modulus steps fewer runs a lane in
+# narrower lanes, a wider one cuts fewer leaves in Python (Python 3.11.7,
+# shared VM).  One division of u * W**K by v, split over cached powers of W
+# (Brent and Zimmermann, Modern Computer Arithmetic, 1.7), took 0.60 ms
+# against 0.53 ms for the chunks on const:10 at 4,000 digits.
+_LEAF_BITS = 24
+_CHUNK_BITS = 1024
 
 
 def pack(digits: Sequence[int], run: tuple[int, ...]) -> tuple[int, bytes] | None:
@@ -148,39 +162,83 @@ def _digit_table(after: int, q: int) -> bytes:
 def expand_lanes(u: int, v: int, run: tuple[int, ...], K: int) -> tuple[bytearray, int]:
     """expansion._digits(u, v, run * K), the digits in a bytearray, for a
     run of bases all at most 256, so every digit is a byte; any v >= 1
-    works, and expansion._expand hands over v of at most _LANE_BITS bits,
-    where the lanes are faster.
+    works.
 
-    The K periods run on at most _LANES lanes, S periods each: lane i, a
-    bit field B bits wide of one int, starts at the residue of period
-    i * S, u * W**(i*S) mod v for the period product W, built by doubling
-    (lanes k..2k-1 are lanes 0..k-1 times W**(k*S) mod v).  A lane then
-    walks its S * L bases in greedy runs of consecutive bases whose
-    product c is at most 256.  One multiply of the whole int by c and one
-    lane-wise division by v (see _lane_mulmod) give every lane's quotient
-    b < c, one byte per lane, and its residue after the run.  b holds the
-    run's digits in mixed radix, and one translate per base,
-    b -> b // after % q with `after` the product of the run's later bases,
-    writes that base's digit of every lane to every (S * L)-th byte of the
-    output.  S is at least ceil(K / _LANES), and at least the g periods
-    whose product is at most 256, so that short expansions take whole runs
-    too: const:2 steps 8 bases at once, periodic:2,3 six and const:10 two.
+    The K periods run on lanes, S periods each: bit fields B bits wide of
+    one int, each holding a residue x of a lane modulus m, whose digits
+    over the S * L bases are those of x/m.  A lane walks them in greedy
+    runs of consecutive bases whose product c is at most 256.  One
+    multiply of the whole int by c and one lane-wise division by m (see
+    _lane_mulmod) give every lane's quotient b < c, one byte per lane, and
+    its residue after the run.  b holds the run's digits in mixed radix,
+    and one translate per base, b -> b // after % q with `after` the
+    product of the run's later bases, writes that base's digit of every
+    lane to every (S * L)-th byte of the output.
+
+    The lanes start in one of two ways.  For v of at most 64 bits, m = v:
+    S is at least ceil(K / _LANES), and at least the g periods whose
+    product is at most 256, so that short expansions take whole runs too
+    (const:2 steps 8 bases at once, periodic:2,3 six and const:10 two),
+    and lane i starts at the residue of period i * S, u * W**(i*S) mod v
+    for the period product W, built by doubling (lanes k..2k-1 are lanes
+    0..k-1 times W**(k*S) mod v).  For a wider v, m = W**S for the most
+    periods S, at least one, with W**S below 2**_LEAF_BITS.  The K periods
+    are cut into chunks of C periods, S times the leaves of m that fill
+    _CHUNK_BITS, and each chunk's digits are those of N/W**C for
+    N, u = divmod(u * W**C, v), the partial-sum identity applied to the
+    chunk's first state.  N's base-m digits, its leaves, are the lanes'
+    start, S periods each, and the state after the last chunk is the last
+    u.  At most _LANES lanes step at once, so the ints stay bounded however
+    many digits are asked for.
     """
     W, L = math.prod(run), len(run)
-    g = 1  # the periods that one run of product at most 256 can hold
-    while W ** (g + 1) <= 256:
-        g += 1
-    S = max(g, -(-K // _LANES))
-    lanes = -(-K // S)
-    span = S * L
+    if v.bit_length() <= 64:
+        g = 1  # the periods that one run of product at most 256 can hold
+        while W ** (g + 1) <= 256:
+            g += 1
+        S = max(g, -(-K // _LANES))
+        lanes = -(-K // S)
+        mulmod, B = _lane_mulmod(v, lanes)
+        residues, k, power = u, 1, pow(W, S, v)
+        while k < lanes:
+            more = min(k, lanes - k)
+            residues |= mulmod(residues & ((1 << more * B) - 1), power)[1] << k * B
+            k, power = k + more, power * power % v
+        out = _step_lanes(residues, lanes, mulmod, B, run * S)
+        del out[K * L :]  # the last lane's periods past K
+        return out, pow(W, K, v) * u % v
+    S = 1
+    while W ** (S + 1) < 1 << _LEAF_BITS:
+        S += 1
+    m = W**S
+    n = max(1, _CHUNK_BITS // m.bit_length())  # leaves a chunk
+    C, out = n * S, bytearray()
+    power, per_pass = W**C, _LANES // n * C  # the periods of a chunk and of a pass
+    mulmod, B = _lane_mulmod(m, min(-(-K // S), _LANES))  # the most leaves a pass holds
+    for at in range(0, K, per_pass):
+        leaves: list[bytes] = []
+        for lo in range(at, min(at + per_pass, K), C):
+            r = min(C, K - lo)
+            N, u = divmod(u * (power if r == C else W**r), v)
+            k = -(-r // S)
+            N *= W ** (k * S - r)  # zero periods fill the last leaf
+            chunk = []
+            for _ in range(k):
+                N, c = divmod(N, m)
+                chunk.append(c.to_bytes(B // 8, "little"))
+            leaves += reversed(chunk)
+        out += _step_lanes(int.from_bytes(b"".join(leaves), "little"), len(leaves), mulmod, B, run * S)
+    del out[K * L :]
+    return out, u
+
+
+def _step_lanes(residues: int, lanes: int, mulmod: Callable[[int, int], tuple[int, int]], B: int,
+                bases: tuple[int, ...]) -> bytearray:
+    """The digits of the `lanes` lanes of residues, B bits each, over the
+    bases, as expand_lanes steps them: lane after lane, in one bytearray."""
+    span = len(bases)
     out = bytearray(lanes * span)
-    mulmod, B = _lane_mulmod(v, lanes)
-    residues, k, power = u, 1, pow(W, S, v)
-    while k < lanes:
-        more = min(k, lanes - k)
-        residues |= mulmod(residues & ((1 << more * B) - 1), power)[1] << k * B
-        k, power = k + more, power * power % v
-    bases, j = run * S, 0
+    j = 0
     while j < span:
         c, end = bases[j], j + 1
         while end < span and c * bases[end] <= 256:
@@ -191,8 +249,7 @@ def expand_lanes(u: int, v: int, run: tuple[int, ...], K: int) -> tuple[bytearra
             c //= bases[i]
             out[i::span] = b.translate(_digit_table(c, bases[i]))
         j = end
-    del out[K * L :]  # the last lane's periods past K
-    return out, pow(W, K, v) * u % v
+    return out
 
 
 def _lane_mulmod(v: int, lanes: int) -> tuple[Callable[[int, int], tuple[int, int]], int]:

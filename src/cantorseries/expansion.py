@@ -102,15 +102,19 @@ def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]
     """Digits e_1..e_m of reduced u/v under the given bases, and the last
     state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
     integers, as sigma^k(u/v) = u_k/v.  The whole periods of long
-    expansions of a v of at most _LANE_BITS bits on a list-backed Q take
-    _packing.expand_lanes instead (see _expand).
+    expansions on a list-backed Q of bases at most 256 take
+    _packing.expand_lanes instead, at a v of at most _LANE_BITS bits or a
+    period product of at most _LANE_BITS bits (see _expand); the prefix
+    part and the last partial period of those still come here.
 
     While v is wider than the product P of the next _RUN bases, one step
     N, u_{k+r} = divmod(u_k * P, v) crosses them all (the partial-sum
     identity above, applied to sigma^k(x)), and their digits are peeled off
     N from the right: m/_RUN divisions of v-sized integers for m digits
-    instead of m.  One base at a time is cheaper, and taken, from the
-    first run as wide as v on, or from the start when bits(v) <= _RUN.
+    instead of m, and one Python divmod per digit.  That serves rule
+    sequences, list-backed ones off the lanes and regroup's block
+    products.  One base at a time is cheaper, and taken, from the first
+    run as wide as v on, or from the start when bits(v) <= _RUN.
     """
     qs = iter(bases)
     out: list[int] = []
@@ -268,9 +272,15 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
 
 
-# _expand hands counts of at least _LANES_FROM digits (doubled at 48, 56 and
-# 64 bits of v) of a v of at most _LANE_BITS bits on a list-backed Q to
-# _packing.expand_lanes.
+# _expand hands counts of at least _LANES_FROM digits on a list-backed Q to
+# _packing.expand_lanes: for a v of at most _LANE_BITS bits, doubled at 48,
+# 56 and 64 bits of v; for a wider v, on a period product W of at most
+# _LANE_BITS bits.  Over 65- to 16,384-bit v, the wide lanes took 0.63 to
+# 0.77 times the run peel's time at 256 digits on const:2, const:10,
+# periodic:2,3 and periodic:5,2,7 (up to 1.23 on const:256, whose digits
+# fill a byte each), and 0.85 to 4.1 times at 32 to 128 digits; past
+# W = 2**64 they lost, 1.01 to 1.35 times at 78 to 95 bits of W and 6 to
+# 11 times for a 64-base period of bases 193-256 (Python 3.11.7, shared VM).
 _LANES_FROM = 256
 _LANE_BITS = 64
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
@@ -280,24 +290,30 @@ def _expand(u: int, v: int, Q: QSequence, lo: int, count: int) -> tuple[tuple[in
     """_digits(u, v, _span(Q, lo, count)): the digits of reduced u/v under
     the count bases from position lo, and the last state.
 
-    _digits makes them, one step per digit, unless v has at most
-    _LANE_BITS bits, Q is list-backed with a period of at most _RUN bases,
-    all at most 256, and count is at least _LANES_FROM, doubled at 48, 56
-    and 64 bits of v: there _packing.expand_lanes steps the whole periods
-    past the prefix (foundation._split) on up to 1024 lanes of one int, a
-    run of bases of product at most 256 per step, and _digits takes the
-    prefix part and the last partial period.  The n + m digits of
-    12345/30011 took 0.13 to 0.22 times the loop's time (30,010 digits on
-    const:2 in 0.35 ms, against 2.8 ms).  The lanes overtake the loop by
-    256 digits up to 47 bits of v on the benchmark's list-backed
-    sequences; const:10, the slowest on them, breaks even near 384 to 512
-    digits at 48 to 56 bits and near 2,048 at 64 (Python 3.11.7, shared
-    VM).
+    _digits makes them unless Q is list-backed with a period of at most
+    _RUN bases, all at most 256, count is at least _LANES_FROM, and either
+    v has at most _LANE_BITS bits and count is past _LANES_FROM doubled at
+    48, 56 and 64 bits of v, or v is wider and the period product W has
+    at most _LANE_BITS bits.  There _packing.expand_lanes steps the whole
+    periods past the prefix (foundation._split) on up to 1024 lanes of one
+    int, a run of bases of product at most 256 per step, from residues of
+    v, or for a wide v from the leaves of one division of v per chunk of
+    about 1,024 bits; _digits takes the prefix part and the last partial
+    period.  The n + m digits of 12345/30011 took 0.13 to 0.22 times the
+    loop's time (30,010 digits on const:2 in 0.35 ms, against 2.8 ms), and
+    the 1,000 to 8,000 digits of the benchmark's list-backed dual forms,
+    at v of 2,110 to 13,290 bits, 0.28 to 0.61 times the run peel's
+    (8,000 digits on const:2 in 0.39 ms, against 1.40 ms).  At v of at
+    most 64 bits the lanes overtake the loop by 256 digits up to 47 bits
+    on the benchmark's list-backed sequences; const:10, the slowest on
+    them, breaks even near 384 to 512 digits at 48 to 56 bits and near
+    2,048 at 64 (Python 3.11.7, shared VM).
     """
     global _expand_lanes
     if count < _LANES_FROM or not (
-        isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256 and v.bit_length() <= _LANE_BITS
-        and count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5
+        isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256
+        and (count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5 if v.bit_length() <= _LANE_BITS
+             else math.prod(Q.period).bit_length() <= _LANE_BITS)
     ):
         return _digits(u, v, _span(Q, lo, count))
     if _expand_lanes is None:
@@ -315,9 +331,12 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  _expand makes them:
-    one step per digit, or whole periods at once on lanes of one int for a
-    long expansion on a list-backed Q at a v = x.denominator of at most 64
-    bits.
+    one step per digit (or runs of 64 peeled off one division at a wide
+    v), or whole periods at once on lanes of one int for an expansion of
+    at least 256 digits on a list-backed Q of bases at most 256, at a
+    v = x.denominator of at most 64 bits or, past that, a period product
+    of at most 64 bits, where one division of v per chunk of about 1,024
+    bits starts the lanes.
     """
     x = _unit_value(x)
     _sequence(Q)  # a Q that is not a QSequence raises TypeError before a bad count

@@ -231,8 +231,9 @@ def shift_constant_check(
     Block descriptions are reconstructed to their exact value first.  The
     window's digits are expansion._expand's over its `horizon` bases from
     sigma^{n0}(x) = a/b, one modular power by shift_value: on lanes of one
-    int for a long window on a list-backed Q at a b of at most 64 bits, as
-    in expand, else one step per digit.  Each position is compared in
+    int for a long window on a list-backed Q at a b of at most 64 bits, or
+    at a wider b on a period product of at most 64 bits, as in expand,
+    else one step per digit.  Each position is compared in
     integers, e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0;
     one ending past sys.maxsize raises DomainError.  For a list-backed Q
     the pair (shift state, position in period) recurs within denominator *

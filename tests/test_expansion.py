@@ -10,6 +10,7 @@ from cantorseries import (
     DigitWord,
     DomainError,
     Periodic,
+    PrefixPeriodic,
     Rule,
     ShiftState,
     cofinite_value,
@@ -26,7 +27,7 @@ from cantorseries import (
 )
 from cantorseries import _packing, expansion
 from cantorseries.expansion import _packed, _word_positional
-from helpers import oracle_digits, oracle_positional, oracle_shift_states, oracle_value
+from helpers import oracle_digits, oracle_positional, oracle_shift_states, oracle_value, wide_lane_periods
 
 ODD = Rule("odd")
 P23 = Periodic((2, 3))
@@ -106,11 +107,17 @@ def test_digit_stream_matches_expand():
 @pytest.mark.parametrize(
     "x,Q,count",
     [
-        # the stream takes one base at a time; expand steps where 64 bases
-        # are wider than v and peels runs of 64 where they are narrower
+        # the stream takes one base at a time; below 256 digits, and on
+        # rule:odd, expand steps where 64 bases are wider than v and peels
+        # runs of 64 where they are narrower; from 256 digits on a period
+        # product of at most 64 bits, it takes the whole periods from the
+        # wide lanes, one division of v per chunk, and steps the prefix part
+        # and the last partial period
         (Fraction(2**70 // 3, 2**70 + 1), P23, 200),
         (Fraction(7**160, 3**300 - 2), Constant(10), 129),
         (Fraction(10**250 // 7, 10**250 + 151), ODD, 130),
+        (Fraction(10**900 // 7, 10**903 + 33), Constant(10), 1000),
+        (Fraction(5**200, 7**150 * 11**50 + 2), PrefixPeriodic((7, 3, 250), (2, 3, 5)), 3 + 3 * 200 + 2),
     ],
 )
 def test_digit_stream_matches_expand_over_denominators_wider_than_64_bits(x, Q, count):
@@ -249,6 +256,60 @@ def test_a_small_denominator_builds_no_product_tree_and_a_packed_word_never_walk
         assert evaluate_finite(word, C10) == local_value(word, C10) == Fraction(num, prod)
         assert cofinite_value(CofiniteExpansion(word), C10) == Fraction(num + 1, prod)
     assert calls == ["fold", "fold", "fold"]
+
+
+def test_wide_lanes_hand_the_digit_loop_only_the_prefix_part_and_a_partial_period():
+    # The 8,000-digit const:2 and 4,499-digit periodic:5,2,7 dual forms, at
+    # denominators of 8,001 and 6,068 bits, take their whole periods from
+    # the wide lanes: _digits gets at most len(prefix) + L bases a call, and
+    # the lanes every whole period.  A 64-base period of bases 193-256,
+    # whose product is near 2**500, stays off the lanes: one _digits call
+    # over every base.
+    sizes, lanes = [], []
+    real_digits, real_lanes = expansion._digits, _packing.expand_lanes
+
+    def digits(u, v, bases):
+        sizes.append(len(bases := tuple(bases)))
+        return real_digits(u, v, bases)
+
+    def wide(u, v, run, K):
+        lanes.append(K * len(run))
+        return real_lanes(u, v, run, K)
+
+    forms = [(Constant(2), 2**8000, 8000), (Periodic((5, 2, 7)), 5**1000 * 2**1500 * 7**800, 4499)]
+    with mock.patch.object(expansion, "_digits", digits), mock.patch.object(_packing, "expand_lanes", wide), \
+            mock.patch.object(expansion, "_expand_lanes", None):
+        for Q, r, n0 in forms:
+            sizes.clear()
+            lanes.clear()
+            x = Fraction(3**3000, r)
+            report = dual_representation(x, Q)
+            assert report.n0 == n0 and evaluate_finite(report.finite_form, Q) == x
+            assert max(sizes) <= len(Q.prefix) + len(Q.period) and sum(sizes) == n0 % len(Q.period)
+            assert lanes == [n0 - n0 % len(Q.period)]
+        sizes.clear()
+        lanes.clear()
+        Q = Periodic(tuple(range(193, 257)))
+        word, state = expand(Fraction(1, 3**2000), Q, 1000)
+        assert (sizes, lanes) == ([1000], [])
+    assert (list(word.digits), state.value) == oracle_digits(Fraction(1, 3**2000), Q, 1000)
+
+
+@pytest.mark.parametrize("period", [(256, 255, 2), (256,)], ids=lambda p: ",".join(map(str, p)))
+def test_wide_lanes_start_each_pass_from_the_last_chunk(period):
+    # Past one pass of at most 1024 lanes, the next pass starts from the
+    # state after the last chunk: two whole passes and one more period,
+    # between a 2-base prefix and a partial last period, against plain
+    # Fraction steps.
+    _, P = wide_lane_periods(period)
+    Q = PrefixPeriodic((7, 3), period)
+    count = 2 + (2 * P + 1) * len(period) + len(period) - 1
+    x = Fraction(10**300 // 7, 10**300 + 3)
+    real, passes = _packing._step_lanes, []
+    with mock.patch.object(_packing, "_step_lanes", lambda *args: passes.append(args[1]) or real(*args)):
+        word, state = expand(x, Q, count)
+    assert (list(word.digits), state.value) == oracle_digits(x, Q, count)
+    assert len(passes) == 3 and passes[-1] == 1
 
 
 class Int(int):

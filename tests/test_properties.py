@@ -44,14 +44,12 @@ from cantorseries import _packing, expansion
 from cantorseries.expansion import _packed, _positional, _word_positional
 from cantorseries.foundation import DomainError, _base_product_mod, _merge_runs, _span
 from helpers import (
-    LANE_BITS,
     LANE_PERIODS,
     PACKED_PERIODS,
     bad_short_words,
     base_entries,
     dual_cases,
     lane_cases,
-    lanes_from,
     oracle_certificate_check,
     oracle_digit_error,
     oracle_digits,
@@ -66,6 +64,7 @@ from helpers import (
     qseqs,
     sequences_with_literal_bases,
     span_cases,
+    takes_lanes,
     walk_cases,
     wide_fractions,
     window_cases,
@@ -229,14 +228,16 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
     assert (_packed(word, Q) is not None) == packs
 
 
-@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")
-@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) <= 8 else f"{len(p)} bases")
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_lane_expansion_matches_the_greedy_digits(period, data):
     # The digits and the final state are those of plain Fraction steps, on
-    # the lanes and off them.  The lanes are taken exactly for a count of
-    # at least lanes_from(v), a period of at most 64 bases, all at most 256,
-    # and v of at most LANE_BITS bits.
+    # the lanes and off them, for v up to 4,096 bits.  The lanes are taken
+    # exactly when takes_lanes says: a count of at least lanes_from(v), a
+    # period of at most 64 bases, all at most 256, and past LANE_BITS bits
+    # of v, where they start from one division of v a chunk, a period
+    # product of at most LANE_BITS bits.
     x, Q, count = data.draw(lane_cases(period))
     real = _packing.expand_lanes
     calls = []
@@ -245,19 +246,17 @@ def test_lane_expansion_matches_the_greedy_digits(period, data):
         word, state = expand(x, Q, count)
     digits, value = oracle_digits(x, Q, count)
     assert word == DigitWord(digits) and state == ShiftState(count, value)
-    lanes = count >= lanes_from(x.denominator) and len(period) <= 64 and max(period) <= 256
-    assert bool(calls) == (lanes and x.denominator.bit_length() <= LANE_BITS)
+    assert bool(calls) == takes_lanes(x.denominator, period, count)
 
 
-@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) < 8 else f"{len(p)} bases")
-@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("period", LANE_PERIODS, ids=lambda p: ",".join(map(str, p)) if len(p) <= 8 else f"{len(p)} bases")
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_shift_constant_window_takes_the_lanes_from_any_start(period, data):
     # The window's witnesses and verdict are those of plain Fraction steps
     # from position 1, from any n0.  Its digits come off the lanes exactly
-    # when expand's would for `horizon` digits of sigma^n0(x) = a/b: a
-    # horizon of at least lanes_from(b), a period of at most 64 bases, all
-    # at most 256, and b of at most LANE_BITS bits.
+    # when expand's would for `horizon` digits of sigma^n0(x) = a/b, as
+    # takes_lanes says, also for a b of up to 4,096 bits from n0 > 0.
     x, Q, n0, horizon = data.draw(window_cases(period))
     real = _packing.expand_lanes
     calls = []
@@ -271,8 +270,7 @@ def test_shift_constant_window_takes_the_lanes_from_any_start(period, data):
     holds = all(Fraction(e, q - 1) == target for e, q in zip(digits[n0:], qs))
     assert report.ratio_witnesses == tuple(zip(positions, digits[n0:], qs))
     assert (report.holds, report.after, report.constant) == (holds, n0, target if holds else None)
-    lanes = horizon >= lanes_from(target.denominator) and len(period) <= 64 and max(period) <= 256
-    assert bool(calls) == (lanes and target.denominator.bit_length() <= LANE_BITS)
+    assert bool(calls) == takes_lanes(target.denominator, period, horizon)
 
 
 @given(
