@@ -3,7 +3,8 @@
 packed in lanes of one int.
 
 expansion hands over the whole periods, past the prefix, of a word of more
-than _RUN digits on a list-backed Q with a period of L <= _RUN bases, and
+than _RUN digits on a list-backed Q with a period of L <= _RUN bases when
+every digit there is below 256 (one byte each), and
 of an expansion of at least _LANES_FROM digits on such a Q with every
 period base at most 256: for a denominator of at most _LANE_BITS bits
 (more digits past 47 bits), or for a wider one when the period product has
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from collections.abc import Callable, Sequence
 
 from .foundation import _RUN, _merge_runs
@@ -56,42 +56,32 @@ _LEAF_BITS = 24
 _CHUNK_BITS = 1024
 
 
-def pack(digits: Sequence[int], run: tuple[int, ...]) -> tuple[int, bytes] | None:
-    """(D, bs) when the digits, whole periods of run, are all below their
-    bases and below 2**16; else None.
+def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytes | None:
+    """The bytes of the digits, whole periods of run, when each is below
+    its base and below 256; else None, and expansion checks and folds the
+    word one step per digit.
 
-    bs holds the big-endian bytes of the digits, D bytes a digit.  The
-    check is at C level, one phase j at a time.  Digits all below 256 take
-    one byte each: deleting the bytes below run[j] from bs[j::L] must leave
-    nothing (0.07 ms for 30,010 digits, against 0.9 ms for max(bs[j::L]),
-    Python 3.11.7).  Other digits take two bytes each, by struct.pack (0.4
-    ms for 30,010 digits, against 0.65 ms for an array('H')), once the
-    largest digit of each phase j is below run[j] (0.5 ms for 30,010
-    digits on const:1000, against 1.6 ms for one pass of compress over
-    every digit, Python 3.11.7).
+    The check is at C level, one phase j at a time: deleting the bytes
+    below run[j] from bs[j::L] must leave nothing (0.07 ms for 30,010
+    digits, against 0.9 ms for max(bs[j::L]), Python 3.11.7).
     """
     try:
         bs = bytes(digits)
     except ValueError:  # a digit of 256 or more
-        if any(max(digits[j :: len(run)], default=0) >= q for j, q in enumerate(run)):
-            return None
-        try:
-            return 2, struct.pack(f">{len(digits)}H", *digits)
-        except struct.error:  # a digit of 2**16 or more
-            return None
+        return None
     if any(bs[j :: len(run)].translate(None, _BYTES[:q]) for j, q in enumerate(run)):
         return None
-    return 1, bs
+    return bs
 
 
-def fold(K: int, D: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
-    """(N, P) of K whole periods of run, their digits checked and packed
-    as pack gave them: P = W**K and N their positional numerator.
+def fold(K: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
+    """(N, P) of K whole periods of run, their digits checked, one byte
+    each, as pack gave them: P = W**K and N their positional numerator.
 
     The periods fold at C level, in lanes of B bytes, the fewest that hold
     W - 1 for the period product W = run[0] * ... * run[L-1].  Strided
     slice assignment puts the digit of phase j of each period in the low
-    bytes of a lane of its own, and X = X * run[j] + (those lanes), for
+    byte of a lane of its own, and X = X * run[j] + (those lanes), for
     j = 0, ..., L-1, leaves in each lane that period's base-W digit, below
     W, so no lane carries; each step multiplies X by one base, never by a
     product of bases.  Up to W = 36 those digits become text, and
@@ -114,10 +104,9 @@ def fold(K: int, D: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
     W, L = math.prod(run), len(run)
     B = -(-(W - 1).bit_length() // 8)
     lanes = 0
-    for j, q in enumerate(run):  # each digit's D bytes go to the low end of a zeroed lane
+    for j, q in enumerate(run):  # each digit goes to the low byte of a zeroed lane
         row = bytearray(K * B)
-        for i in range(D):
-            row[B - D + i :: B] = bs[j * D + i :: L * D]
+        row[B - 1 :: B] = bs[j::L]
         lanes = lanes * q + int.from_bytes(row, "big")
     a = (W & -W).bit_length() - 1
     r = W >> a

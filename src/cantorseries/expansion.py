@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import countOf, ge, lt
 
 from .foundation import (
@@ -101,34 +101,16 @@ def _unit_value(x: Rational | int, what: str = "value") -> Fraction:
 def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Digits e_1..e_m of reduced u/v under the given bases, and the last
     state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
-    integers, as sigma^k(u/v) = u_k/v.  The whole periods of long
-    expansions on a list-backed Q of bases at most 256 take
-    _packing.expand_lanes instead, at a v of at most _LANE_BITS bits or a
-    period product of at most _LANE_BITS bits (see _expand); the prefix
-    part and the last partial period of those still come here.
-
-    While v is wider than the product P of the next _RUN bases, one step
-    N, u_{k+r} = divmod(u_k * P, v) crosses them all (the partial-sum
-    identity above, applied to sigma^k(x)), and their digits are peeled off
-    N from the right: m/_RUN divisions of v-sized integers for m digits
-    instead of m, and one Python divmod per digit.  That serves rule
+    integers, as sigma^k(u/v) = u_k/v.  One step per digit serves rule
     sequences, list-backed ones off the lanes and regroup's block
-    products.  One base at a time is cheaper, and taken, from the first
-    run as wide as v on, or from the start when bits(v) <= _RUN.
+    products.  The whole periods of long expansions on a list-backed Q of
+    bases at most 256 take _packing.expand_lanes instead, at a v of at
+    most _LANE_BITS bits or a period product of at most _LANE_BITS bits
+    (see _expand); the prefix part and the last partial period of those
+    still come here.
     """
-    qs = iter(bases)
     out: list[int] = []
-    while v.bit_length() > _RUN and (run := list(islice(qs, _RUN))):
-        if len(run) * max(run).bit_length() >= v.bit_length():
-            qs = chain(run, qs)
-            break
-        num, u = divmod(u * math.prod(run), v)
-        peeled = []
-        for q in reversed(run):
-            num, d = divmod(num, q)
-            peeled.append(d)
-        out += reversed(peeled)
-    for q in qs:
+    for q in bases:
         d, u = divmod(q * u, v)
         out.append(d)
     return tuple(out), u
@@ -150,7 +132,7 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
 
     This is the fold for the words of more than _RUN digits that
     _word_positional does not fold at C level (rule sequences, periods of
-    more than _RUN bases, and digits of 2**16 or more) and _walk does not
+    more than _RUN bases, and digits of 256 or more) and _walk does not
     walk whole, and for the prefix part of those it does.  Runs of _RUN
     digits, and at least one, fold (N, P) pairs one multiply per digit,
     and _merge_runs merges them with their products: O(M(m) log m).
@@ -195,12 +177,12 @@ def _walk(digits: Sequence[int], Q: QSequence, start: int, tail: int) -> tuple[i
 _pack = _fold_packed = None
 
 
-def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], tuple[int, bytes]] | None:
+def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], bytes] | None:
     """validate_digits(word, Q), returning foundation._split's cut of the
     word and _packing.pack's form of its whole periods when it has one: it
     has more than _RUN digits on a list-backed Q with a period of at most
     _RUN bases, and the digits of its whole periods past the prefix are
-    below 2**16.  The prefix part and the last partial period are checked
+    below 256.  The prefix part and the last partial period are checked
     one step per digit, and so is every other word, and the whole word
     once a check fails, to name the first bad digit.
     """
@@ -224,8 +206,9 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1};
     the DomainError names the first digit out of range.  Past the prefix of
-    a list-backed Q, the whole periods of a long word are checked by one
-    C-level pass per period phase (see _packed)."""
+    a list-backed Q, the whole periods of a long word whose digits there
+    are all below 256 are checked by one C-level pass per period phase
+    (see _packed); other digits, one step each."""
     _packed(word, Q)
 
 
@@ -249,8 +232,8 @@ def _word_positional(word: DigitWord, Q: QSequence, tail: int | None = None) -> 
         return num + (tail or 0), math.prod(qs)
     if (packed := _packed(word, Q)) is None:
         return _positional(digits, Q, start) if tail is None else _walk(digits, Q, start, tail)
-    (head, run, K, last), (D, bs) = packed
-    num, prod = _fold_packed(K, D, bs, run)
+    (head, run, K, last), bs = packed
+    num, prod = _fold_packed(K, bs, run)
     tail_num, tail_prod = _fold(zip(run, digits[len(digits) - last :]))
     num, prod = num * tail_prod + tail_num, prod * tail_prod
     if head:
@@ -275,12 +258,13 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
 # _expand hands counts of at least _LANES_FROM digits on a list-backed Q to
 # _packing.expand_lanes: for a v of at most _LANE_BITS bits, doubled at 48,
 # 56 and 64 bits of v; for a wider v, on a period product W of at most
-# _LANE_BITS bits.  Over 65- to 16,384-bit v, the wide lanes took 0.63 to
-# 0.77 times the run peel's time at 256 digits on const:2, const:10,
-# periodic:2,3 and periodic:5,2,7 (up to 1.23 on const:256, whose digits
-# fill a byte each), and 0.85 to 4.1 times at 32 to 128 digits; past
-# W = 2**64 they lost, 1.01 to 1.35 times at 78 to 95 bits of W and 6 to
-# 11 times for a 64-base period of bases 193-256 (Python 3.11.7, shared VM).
+# _LANE_BITS bits.  Over 65- to 16,384-bit v, the wide lanes took 0.08 to
+# 0.83 times the time of one step per digit at 256 digits on const:2,
+# const:10, periodic:2,3 and periodic:5,2,7 (0.19 to 1.40 on const:256,
+# whose digits fill a byte each), and 0.09 to 4.6 times at 32 to 128
+# digits; past W = 2**64 they took 0.20 to 2.3 times at 79 and 94 bits of
+# W, winning only from v of 1,024 bits on, and 1.3 to 22 times for a
+# 64-base period of bases 193-256 (Python 3.11.7, shared VM).
 _LANES_FROM = 256
 _LANE_BITS = 64
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
@@ -302,8 +286,8 @@ def _expand(u: int, v: int, Q: QSequence, lo: int, count: int) -> tuple[tuple[in
     period.  The n + m digits of 12345/30011 took 0.13 to 0.22 times the
     loop's time (30,010 digits on const:2 in 0.35 ms, against 2.8 ms), and
     the 1,000 to 8,000 digits of the benchmark's list-backed dual forms,
-    at v of 2,110 to 13,290 bits, 0.28 to 0.61 times the run peel's
-    (8,000 digits on const:2 in 0.39 ms, against 1.40 ms).  At v of at
+    at v of 2,110 to 13,290 bits, 0.05 to 0.20 times the loop's (8,000
+    digits on const:2 in 0.75 ms, against 13.7 ms).  At v of at
     most 64 bits the lanes overtake the loop by 256 digits up to 47 bits
     on the benchmark's list-backed sequences; const:10, the slowest on
     them, breaks even near 384 to 512 digits at 48 to 56 bits and near
@@ -331,12 +315,11 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
 
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  _expand makes them:
-    one step per digit (or runs of 64 peeled off one division at a wide
-    v), or whole periods at once on lanes of one int for an expansion of
-    at least 256 digits on a list-backed Q of bases at most 256, at a
-    v = x.denominator of at most 64 bits or, past that, a period product
-    of at most 64 bits, where one division of v per chunk of about 1,024
-    bits starts the lanes.
+    one step per digit, or whole periods at once on lanes of one int for
+    an expansion of at least 256 digits on a list-backed Q of bases at
+    most 256, at a v = x.denominator of at most 64 bits or, past that, a
+    period product of at most 64 bits, where one division of v per chunk
+    of about 1,024 bits starts the lanes.
     """
     x = _unit_value(x)
     _sequence(Q)  # a Q that is not a QSequence raises TypeError before a bad count
@@ -355,7 +338,8 @@ def shift_value(x: Rational | int, Q: QSequence, n: int) -> Fraction:
     """
     x = _unit_value(x)
     v = x.denominator
-    return Fraction(x.numerator * _base_product_mod(Q, 1, _check_int(n, 0, "shift count"), v) % v, v)
+    _check_int(n, 0, "shift count")
+    return Fraction(x.numerator * _base_product_mod(_sequence(Q), 1, n, v) % v, v)
 
 
 def digit_stream(x: Rational | int, Q: QSequence) -> Iterator[tuple[int, ShiftState]]:

@@ -291,25 +291,27 @@ def q_at(Q: QSequence, k: int) -> int:
     return bases(Q, 1, k)[0]
 
 
-def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int, int]:
-    """q_lo * ... * q_hi as (factors, size, whole, cycles): the product of
-    the sequence `factors`, of `size` items, times whole ** cycles.
+def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int]:
+    """q_lo * ... * q_hi as (factors, whole, cycles): the product of the
+    sequence `factors` times whole ** cycles.
 
     For list-backed sequences `factors` is a tuple of the prefix part and
     one partial period, sliced out, and whole is the product of a full
-    period; for rule sequences it is the range of every base.
+    period; for rule sequences it is the range of every base, and a range
+    past sys.maxsize raises DomainError.  It checks nothing else: Q is a
+    QSequence, lo an int >= 1 and hi an int >= 0.
     """
-    _sequence(Q)
-    count = _check_int(hi, 0, "last base position") - _check_int(lo, 1, "first base position") + 1
+    count = hi - lo + 1
     if count <= 0:
-        return (), 0, 1, 0
+        return (), 1, 0
     if isinstance(Q, Rule):
-        return range(2 * lo + 1, 2 * hi + 2, 2), _check_count(count), 1, 0
+        _check_count(count)
+        return range(2 * lo + 1, 2 * hi + 2, 2), 1, 0
     pre, per = Q.prefix, Q.period
     head = pre[lo - 1 : hi]
     cycles, rest = divmod(count - len(head), len(per))
     phase = (lo + len(head) - len(pre) - 1) % len(per)
-    return head + (per + per)[phase : phase + rest], len(head) + rest, math.prod(per), cycles
+    return head + (per + per)[phase : phase + rest], math.prod(per), cycles
 
 
 # The largest product base_product builds: 2**22 bits (512 KiB, about 1.26
@@ -319,14 +321,14 @@ def _product_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, 
 _MAX_PRODUCT_BITS = 1 << 22
 
 
-def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int, int]:
+def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, int]:
     """_product_split(Q, lo, hi), or DomainError for a range past sys.maxsize
     and, before any multiply, for a product whose bit length bound passes
     _MAX_PRODUCT_BITS: cycles * bits(period product) for the whole periods
     of a list-backed range, count * bits(q_hi) for a rule's rising bases."""
-    factors, size, whole, cycles = split = _product_split(Q, lo, hi)
+    factors, whole, cycles = split = _product_split(Q, lo, hi)
     _check_count(hi - lo + 1)
-    bits = cycles * whole.bit_length() if isinstance(Q, ListBacked) else size * (2 * hi + 1).bit_length()
+    bits = cycles * whole.bit_length() if isinstance(Q, ListBacked) else len(factors) * (2 * hi + 1).bit_length()
     if bits > _MAX_PRODUCT_BITS:
         raise DomainError(f"product of bases {lo}..{hi} would exceed {_MAX_PRODUCT_BITS} bits")
     return split
@@ -346,14 +348,16 @@ def base_product(Q: QSequence, lo: int, hi: int) -> int:
     cost O(M(m) log m).  A range or product too large for _sized_split
     raises DomainError before any multiply.
     """
-    factors, size, whole, cycles = _sized_split(Q, lo, hi)
+    _sequence(Q)
+    _check_int(hi, 0, "last base position")
+    factors, whole, cycles = _sized_split(Q, _check_int(lo, 1, "first base position"), hi)
     if hi - lo < _RUN:
         return math.prod(factors) * whole**cycles
     a = (whole & -whole).bit_length() - 1
     power = (whole >> a) ** cycles << a * cycles
-    if size <= _RUN:
+    if len(factors) <= _RUN:
         return math.prod(factors) * power
-    prods = [math.prod(factors[i : i + _RUN]) for i in range(0, size, _RUN)]
+    prods = [math.prod(factors[i : i + _RUN]) for i in range(0, len(factors), _RUN)]
     return _merge_runs([0] * len(prods), prods)[1] * power
 
 
@@ -371,11 +375,12 @@ def _base_product_mod(Q: QSequence, lo: int, hi: int, modulus: int) -> int:
     For list-backed sequences the power covers the whole periods.  For rule
     sequences it covers runs of v = modulus bases: q_{k+v} = q_k + 2v for
     q_k = 2k + 1, so any v consecutive bases have the same product mod v,
-    and a range of any length takes at most v multiplies.
+    and a range of any length takes at most v multiplies.  Its callers
+    check Q, lo and hi, as for _product_split.
     """
-    factors, size, whole, cycles = _product_split(Q, lo, hi)
+    factors, whole, cycles = _product_split(Q, lo, hi)
     if isinstance(Q, Rule):
-        cycles, rest = divmod(size, modulus)
+        cycles, rest = divmod(len(factors), modulus)
         part = _product_mod(factors[:rest], modulus)
         # the run q_lo .. q_{lo+v-1}: those rest bases, then the next v - rest
         whole = _product_mod(factors[rest:modulus], modulus, part) if cycles else 1

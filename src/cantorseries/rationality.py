@@ -38,7 +38,7 @@ from .foundation import (
     base_product,
     iter_bases,
 )
-from .expansion import DigitWord, _unit_value, _word_positional, expand
+from .expansion import DigitWord, _expand, _unit_value, _word_positional
 
 __all__ = [
     "BlockDescription", "CertificateCheck", "RationalityCertificate",
@@ -237,13 +237,14 @@ def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
     """Eventually-recurring digit description of x.
 
     The recurrence (n, m) is certify_rational's, found the same way, and
-    the digits are expand(x, Q, n + m) split at n.  A block product that
-    certify_rational refuses raises its DomainError before any expansion.
+    the first n + m digits, from expansion._expand, are split at n.  A
+    block product that certify_rational refuses raises its DomainError
+    before any expansion.
     """
     x = _unit_value(x)
     n, m, _ = _recurrence(x, Q)
     _sized_split(Q, n + 1, n + m)
-    digits = expand(x, Q, n + m)[0].digits
+    digits, _ = _expand(x.numerator, x.denominator, Q, 1, n + m)
     return BlockDescription(_unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
 
 

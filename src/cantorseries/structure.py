@@ -26,11 +26,10 @@ from .foundation import (
     _of,
     _record,
     _sequence,
+    _span,
     _unchecked,
     base_product,
-    bases,
     iter_bases,
-    q_at,
     tail_min,
 )
 from .expansion import (
@@ -40,7 +39,6 @@ from .expansion import (
     _unit_value,
     _word_positional,
     evaluate_finite,
-    expand,
     shift_value,
     validate_digits,
 )
@@ -82,7 +80,7 @@ def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
     word = DigitWord(tuple(digits))
     validate_digits(word, Q)
     ds = list(word.digits)
-    qs = bases(Q, len(ds))
+    qs = _span(Q, 1, len(ds))
     while ds and ds[-1] == qs[len(ds) - 1] - 1:
         ds.pop()
     if not ds:
@@ -149,7 +147,7 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
     if isinstance(form, CofiniteExpansion):
         validate_digits(form.head, Q)
         ds = list(form.head.digits)
-        if ds[-1] > q_at(Q, len(ds)) - 2:
+        if ds[-1] > _span(Q, len(ds), 1)[0] - 2:
             raise DomainError(f"cofinite head not canonical: digit at position {len(ds)} must be <= base - 2")
         ds[-1] += 1
         return _unchecked(DigitWord, tuple(ds), 1)
@@ -195,10 +193,11 @@ def dual_representation(x: Rational, Q: QSequence, bound: int = 10000) -> DualRe
             hi = mid
     n0 = hi
 
-    word, state = expand(x, Q, n0)
-    if state.value != 0:  # sigma^n0(x) = 0 exactly when the n0 digits evaluate to x
+    digits, u = _expand(x.numerator, r, Q, 1, n0)
+    if u:  # sigma^n0(x) = u/r is 0 exactly when the n0 digits evaluate to x
         raise AssertionError("divisibility test and greedy expansion disagree on the n0 digits")
-    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=_twin(word.digits))
+    word = _unchecked(DigitWord, digits, 1)
+    return DualRepresentationReport("yes", n0=n0, finite_form=word, cofinite_form=_twin(digits))
 
 
 @_record
@@ -252,7 +251,7 @@ def shift_constant_check(
     target = shift_value(x, Q, n0)
     a, b = target.numerator, target.denominator
     digits, _ = _expand(a, b, Q, n0 + 1, horizon)
-    qs = bases(Q, horizon, n0 + 1)
+    qs = _span(Q, n0 + 1, horizon)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
     holds = all(e * b == (q - 1) * a for e, q in zip(digits, qs))
     conclusive = not holds or (
@@ -374,7 +373,7 @@ def regroup(
     Each block is one shift step in the regrouped base: from the state
     sigma^{n_{k-1}}(x) = u/v, lam_k, u = divmod(u * (mu_k + 1), v), which
     _digits takes over the block products.  The cost is the block products
-    plus at most one division by v per block, and one multiply pair per
+    plus one division by v per block, and one multiply pair per
     block for the report's flags; a last breakpoint past sys.maxsize raises
     DomainError before any product, and a block product past
     base_product's size bound before it is built.  With `count`, at most

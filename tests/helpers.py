@@ -172,11 +172,11 @@ def proper_fractions(max_denominator: int = 60):
 
 
 def wide_fractions():
-    """Fractions in [0, 1) over denominators of 600 to 1000 bits: wider than
-    the product of 64 bases below 512, and far wider than a few hundred
-    digits need.  The numerator is uniform in [0, v), from a seeded
-    random.Random: hypothesis's own draws favour small numerators, which
-    leave the first hundreds of digits all 0."""
+    """Fractions in [0, 1) over denominators of 600 to 1000 bits, far wider
+    than a few hundred digits need, so every step divides a wide integer.
+    The numerator is uniform in [0, v), from a seeded random.Random:
+    hypothesis's own draws favour small numerators, which leave the first
+    hundreds of digits all 0."""
     return st.builds(
         lambda v, rng: Fraction(rng.randrange(v), v),
         st.integers(min_value=2**600, max_value=2**1000),
@@ -352,9 +352,8 @@ def walk_cases(draw):
 # periodic:256,256 and const:65536).  Three: 65537 and 256 * 257.  Four:
 # 300 * 301 * 302, 255**4 and 2**32.  Five: 2**33.  Eight: 2**64 (a 64-base
 # period, the longest that is packed).  Nine: 3 * 2**63.  126: 63 bases up
-# to 65536.  A 65-base period is not packed.  Digits of 256 and more, on
-# bases past 256, are packed two bytes a digit; a digit of 65536, on
-# const:65537, does not fit two bytes either.
+# to 65536.  A 65-base period is not packed, and neither is a word with a
+# digit of 256 or more in its whole periods, on the bases past 256.
 PACKED_PERIODS = [
     (2,), (3,), (10,), (36,), (6, 6), (2, 3), (3, 2), (2, 2, 3, 3), (2, 2, 2, 2, 2), (4, 8), (35,),
     (37,), (64,), (2, 4, 8), (5, 2, 7), (255,), (3, 5, 17), (16, 16), (256,), (2,) * 63 + (3,), (2,) * 65,

@@ -107,12 +107,12 @@ def test_digit_stream_matches_expand():
 @pytest.mark.parametrize(
     "x,Q,count",
     [
-        # the stream takes one base at a time; below 256 digits, and on
-        # rule:odd, expand steps where 64 bases are wider than v and peels
-        # runs of 64 where they are narrower; from 256 digits on a period
-        # product of at most 64 bits, it takes the whole periods from the
-        # wide lanes, one division of v per chunk, and steps the prefix part
-        # and the last partial period
+        # the stream and, below 256 digits and on rule:odd, expand take
+        # one base at a time, one division of a number wider than 64 bits
+        # each; from 256 digits on a period product of at most 64 bits,
+        # expand takes the whole periods from the wide lanes, one division
+        # of v per chunk, and steps the prefix part and the last partial
+        # period
         (Fraction(2**70 // 3, 2**70 + 1), P23, 200),
         (Fraction(7**160, 3**300 - 2), Constant(10), 129),
         (Fraction(10**250 // 7, 10**250 + 151), ODD, 130),
@@ -208,7 +208,7 @@ def test_validate_digits_names_the_first_bad_position_and_its_base():
     with pytest.raises(DomainError) as bad:
         validate_digits(DigitWord((0,) * 40 + (83, 99), start=1), ODD)
     assert str(bad.value) == "digit 83 at position 41 out of range for base 83"
-    # a long word of two-byte digits, one equal to its base
+    # a long word of digits past one byte, one equal to its base
     with pytest.raises(DomainError) as bad:
         validate_digits(DigitWord((299, 1) * 40 + (300, 1) + (0, 1) * 10), parse_qseq("periodic:300,2"))
     assert str(bad.value) == "digit 300 at position 81 out of range for base 300"
@@ -216,8 +216,8 @@ def test_validate_digits_names_the_first_bad_position_and_its_base():
 
 
 def test_a_long_word_of_digits_past_two_bytes_folds_one_multiply_per_digit():
-    # 65536 fits no two bytes, so the word is not packed: it is checked
-    # and folded one step per digit, and a bad digit is named as before
+    # 65536 fits no byte, so the word is not packed: it is checked and
+    # folded one step per digit, and a bad digit is named as before
     Q = Periodic((65537, 3))
     digits = (65536, 2) * 40
     assert _packed(DigitWord(digits), Q) is None

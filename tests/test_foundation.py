@@ -194,8 +194,8 @@ X, WORD = Fraction(1, 3), DigitWord((1,))
 CERT = RationalityCertificate(0, 1, Fraction(1, 3), 10)
 
 # Every public function that takes a base sequence Q, called with the text
-# of one in its place and valid other arguments.  Ranges are non-empty: the
-# empty product is 1 on any Q, so shift_value(x, Q, 0) needs no sequence.
+# of one in its place and valid other arguments.  Ranges are non-empty, so
+# each call would need a base of Q.
 NOT_A_SEQUENCE = {
     "base_product": lambda Q: base_product(Q, 1, 3),
     "bases": lambda Q: bases(Q, 3),
@@ -326,7 +326,7 @@ def test_short_products_mod_v_hold_no_big_product():
         lambda Q: expand(Fraction(1, 3), Q, True),
         # an empty range: no base is needed, but Q is still checked
         lambda Q: base_product(Q, 5, 1),
-        lambda Q: _base_product_mod(Q, 5, 1, 7),
+        lambda Q: shift_value(Fraction(1, 3), Q, 0),
     ],
 )
 def test_a_non_sequence_is_named_before_a_bad_count(call):

@@ -211,7 +211,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
     # step per digit gives, and folds what passes to the same (N, P) as one
     # multiply per digit.  It is taken exactly for a word longer than 64
     # digits on a period of at most 64 bases whose digits past the prefix
-    # are all below 2**16.
+    # are all below 256.
     Q, literal, start, digits = data.draw(packed_cases(period))
     qs = literal[start - 1 :]
     word = DigitWord(digits, start)
@@ -224,7 +224,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
         return
     assert _word_positional(word, Q) == oracle_positional(digits, qs)
     head = max(0, len(Q.prefix) - start + 1)
-    packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 2**16
+    packs = len(Q.period) <= 64 and len(digits) > 64 and max(digits[head:], default=0) < 256
     assert (_packed(word, Q) is not None) == packs
 
 
@@ -305,7 +305,8 @@ def test_every_base_at_least_two(Q, k):
     assert q_at(Q, k) >= 2
 
 
-# Counts on both sides of expand's runs of 64 bases.
+# Counts on both sides of 64: the longest word folded in one loop, and the
+# longest period expand_lanes takes.
 RUN_COUNTS = st.sampled_from([1, 63, 64, 65, 128, 129])
 
 
@@ -480,7 +481,7 @@ def values_and_sequences(draw):
     values_and_sequences(),
     st.one_of(
         st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=5),
-        # blocks of 1-7 bases: over a wide denominator, runs of 64 blocks are peeled
+        # blocks of 1-7 bases: many blocks, each one step over a wide denominator
         st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=150),
     ),
 )
