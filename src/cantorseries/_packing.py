@@ -1,22 +1,22 @@
-"""Digit check and positional fold of whole periods of long words from one
-`bytes` of their digits, and whole periods of long expansions from residues
-packed in lanes of one int.
+"""Digit check and positional fold of long words from one `bytes` of their
+digits, and long expansions from residues packed in lanes of one int.
 
-expansion hands over the whole periods, past the prefix, of a word of more
-than _RUN digits on a list-backed Q with a period of L <= _RUN bases when
-every digit there is below 256 (one byte each), and
-of an expansion of at least _LANES_FROM digits on such a Q with every
-period base at most 256: for a denominator of at most _LANE_BITS bits
-(more digits past 47 bits), or for a wider one when the period product has
-at most _LANE_BITS bits; foundation._split cuts them out, and expansion
-runs the prefix part and a last partial period.  Both paths keep one
-period's digits or residue in a lane of one int (SWAR, L. Lamport, CACM 18
-(1975), 471-475): the fold reads every period at C level, in lanes of as
-many bytes as its product needs, and the expansion steps every lane
-through a run of bases of product up to 256 at once, its lanes started at
-residues of a narrow denominator or, for a wide one, at the leaves of one
-division per chunk.  The module is imported on first use, not with the
-package, so a cold call on short words does not compile it.
+expansion hands over every digit past the prefix of a word of more than _RUN
+digits on a list-backed Q with a period of L <= _RUN bases when each is
+below 256: pack checks them all, the last partial period included, and fold
+folds the whole periods.  It hands over the whole periods past the prefix of
+an expansion of at least _LANES_FROM digits on such a Q with every period
+base at most 256: at a denominator of at most _LANE_BITS bits (more digits
+past 47 bits) or on a period product of at most _LANE_BITS bits.
+foundation._split cuts the periods out, and expansion runs the prefix part
+and the last partial period.  Both paths keep one period's digits or residue
+in a lane of one int (SWAR, L. Lamport, CACM 18 (1975), 471-475): the fold
+reads every period at C level, in lanes of as many bytes as its product
+needs, and the expansion steps every lane through a run of bases of product
+up to 256 at once, its lanes started at residues of a narrow denominator or,
+for a wide one, at the leaves of one division per chunk.  The module is
+imported on first use, not with the package, so a cold call on short words
+does not compile it.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ _CHUNK_BITS = 1024
 
 
 def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytes | None:
-    """The bytes of the digits, whole periods of run, when each is below
-    its base and below 256; else None, and expansion checks and folds the
-    word one step per digit.
+    """The bytes of the digits, periods of run from its first base, the
+    last one possibly partial, when each is below its base and below 256;
+    else None, and expansion checks and folds the word one step per digit.
 
     The check is at C level, one phase j at a time: deleting the bytes
     below run[j] from bs[j::L] must leave nothing (0.07 ms for 30,010
@@ -75,8 +75,9 @@ def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytes | None:
 
 
 def fold(K: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
-    """(N, P) of K whole periods of run, their digits checked, one byte
-    each, as pack gave them: P = W**K and N their positional numerator.
+    """(N, P) of the K whole periods of run that begin bs, their digits
+    checked, one byte each, as pack gave them: P = W**K and N their
+    positional numerator.  A last partial period in bs is not read.
 
     The periods fold at C level, in lanes of B bytes, the fewest that hold
     W - 1 for the period product W = run[0] * ... * run[L-1].  Strided
@@ -106,7 +107,7 @@ def fold(K: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
     lanes = 0
     for j, q in enumerate(run):  # each digit goes to the low byte of a zeroed lane
         row = bytearray(K * B)
-        row[B - 1 :: B] = bs[j::L]
+        row[B - 1 :: B] = bs[j : K * L : L]
         lanes = lanes * q + int.from_bytes(row, "big")
     a = (W & -W).bit_length() - 1
     r = W >> a
@@ -135,17 +136,10 @@ def fold(K: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
 
 @functools.cache
 def _digit_table(after: int, q: int) -> bytes:
-    """The bytes.translate table b -> b // after % q, built from repeated
-    byte patterns: each digit d < q spread over `after` bytes (one multiply
-    by a repunit of bytes, which no byte carries out of), repeated.  It is
-    kept for later calls, as after * q <= 256 bounds them to about 1,400
-    tables of 256 bytes: built afresh, they made 256 digits of
-    12345/30011 on const:2 take 40 us instead of 15."""
-    size = after * q
-    spread = bytearray(size)
-    spread[::after] = _BYTES[:q]
-    block = (int.from_bytes(spread, "little") * int.from_bytes(b"\1" * after, "little")).to_bytes(size, "little")
-    return (block * -(-256 // size))[:256]
+    """The bytes.translate table b -> b // after % q, one byte at a time
+    (13 us, Python 3.11.7).  It is kept for later calls, as after * q <=
+    256 bounds them to about 1,400 tables of 256 bytes."""
+    return bytes(b // after % q for b in range(256))
 
 
 def expand_lanes(u: int, v: int, run: tuple[int, ...], K: int) -> tuple[bytearray, int]:

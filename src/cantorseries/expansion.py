@@ -133,11 +133,11 @@ def _positional(digits: Sequence[int], Q: QSequence, start: int) -> tuple[int, i
     This is the fold for the words of more than _RUN digits that
     _word_positional does not fold at C level (rule sequences, periods of
     more than _RUN bases, and digits of 256 or more) and _walk does not
-    walk whole, and for the prefix part of those it does.  Runs of _RUN
+    walk whole, and for the prefix part of those it does.  Its callers
+    check Q and start, and the bases come from _span.  Runs of _RUN
     digits, and at least one, fold (N, P) pairs one multiply per digit,
-    and _merge_runs merges them with their products: O(M(m) log m).
-    """
-    pairs = zip(iter_bases(Q, start), digits)
+    and _merge_runs merges them with their products: O(M(m) log m)."""
+    pairs = zip(_span(Q, start, len(digits)), digits)
     nums, prods = map(list, zip(*[_fold(islice(pairs, _RUN)) for _ in range(0, max(len(digits), 1), _RUN)]))
     return _merge_runs(nums, prods)
 
@@ -179,10 +179,10 @@ _pack = _fold_packed = None
 
 def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], bytes] | None:
     """validate_digits(word, Q), returning foundation._split's cut of the
-    word and _packing.pack's form of its whole periods when it has one: it
-    has more than _RUN digits on a list-backed Q with a period of at most
-    _RUN bases, and the digits of its whole periods past the prefix are
-    below 256.  The prefix part and the last partial period are checked
+    word and _packing.pack's form of every digit past the prefix when it
+    has one: it has more than _RUN digits on a list-backed Q with a period
+    of at most _RUN bases, and its digits past the prefix, the last
+    partial period included, are below 256.  The prefix part is checked
     one step per digit, and so is every other word, and the whole word
     once a check fails, to name the first bad digit.
     """
@@ -191,10 +191,8 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], 
     if len(digits) > _RUN and isinstance(Q, ListBacked) and len(Q.period) <= _RUN:
         if _pack is None:
             from ._packing import fold as _fold_packed, pack as _pack
-        head, run, K, tail = split = _split(Q, start, len(digits))
-        end = len(digits) - tail
-        rest = map(lt, digits[:head] + digits[end:], Q.prefix[start - 1 : start - 1 + head] + run)
-        if (packed := _pack(digits[head:end], run)) is not None and all(rest):
+        head, run, _, _ = split = _split(Q, start, len(digits))
+        if (packed := _pack(digits[head:], run)) is not None and all(map(lt, digits, Q.prefix[start - 1 :])):
             return split, packed
     qs = _span(_sequence(Q), start, len(digits))
     k = next(compress(range(len(digits)), map(ge, digits, qs)), None)
@@ -206,9 +204,9 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], 
 def validate_digits(word: DigitWord, Q: QSequence) -> None:
     """Check every digit against its position's alphabet {0, ..., q_k - 1};
     the DomainError names the first digit out of range.  Past the prefix of
-    a list-backed Q, the whole periods of a long word whose digits there
-    are all below 256 are checked by one C-level pass per period phase
-    (see _packed); other digits, one step each."""
+    a list-backed Q, every digit of a long word whose digits there are all
+    below 256, the last partial period included, is checked by one C-level
+    pass per period phase (see _packed); other digits, one step each."""
     _packed(word, Q)
 
 
@@ -216,11 +214,11 @@ def _word_positional(word: DigitWord, Q: QSequence, tail: int | None = None) -> 
     """validate_digits(word, Q), then _positional(word.digits, Q, word.start):
     for a word of at most _RUN digits, one loop over its _span (a bad digit
     goes to _packed, which names the first); for a longer one, from the
-    packed form of its whole periods where it has one, which _packing.fold
-    reads at C level, joined once by the last partial period (folded by
-    _fold) and the prefix part (by _positional).  Given a tail of 0 or 1,
-    a pair worth (N + tail)/P instead, from _walk for a word _positional
-    would fold."""
+    packed form of its digits past the prefix where it has one: the whole
+    periods, which _packing.fold reads at C level, joined once by the last
+    partial period (folded by _fold) and the prefix part (by _positional).
+    Given a tail of 0 or 1, a pair worth (N + tail)/P instead, from _walk
+    for a word _positional would fold."""
     digits, start = _of(DigitWord, word).digits, word.start
     if len(digits) <= _RUN:
         qs = _span(_sequence(Q), start, len(digits))

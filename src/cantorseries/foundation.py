@@ -336,21 +336,26 @@ def _sized_split(Q: QSequence, lo: int, hi: int) -> tuple[Sequence[int], int, in
 
 def base_product(Q: QSequence, lo: int, hi: int) -> int:
     """Product q_lo * q_{lo+1} * ... * q_hi; 1 when the range is empty.
-
-    For list-backed sequences only the prefix part and one partial period
-    are multiplied out; the whole periods in between are one power of the
-    period product W.  A range of at most _RUN bases takes it plainly, as
-    W**cycles has at most _RUN * bits(W) bits.  A longer one takes it as
-    r**cycles << a * cycles for W = 2**a * r, r odd (10**30010 in 0.43 ms,
-    against 0.73 ms as a power of 10, Python 3.11.7).  More than _RUN
-    other factors go in runs of _RUN, whose products _merge_runs multiplies
-    in pairs counted from the right, with zero numerators, so m rule bases
-    cost O(M(m) log m).  A range or product too large for _sized_split
-    raises DomainError before any multiply.
-    """
+    It checks Q, hi and lo, in that order, and _product builds it."""
     _sequence(Q)
     _check_int(hi, 0, "last base position")
-    factors, whole, cycles = _sized_split(Q, _check_int(lo, 1, "first base position"), hi)
+    return _product(Q, _check_int(lo, 1, "first base position"), hi)
+
+
+def _product(Q: QSequence, lo: int, hi: int) -> int:
+    """base_product(Q, lo, hi) for a QSequence Q, an int lo >= 1 and an
+    int hi >= 0, which it does not check.  For list-backed sequences only
+    the prefix part and one partial period are multiplied out; the whole
+    periods in between are one power of the period product W.  A range of
+    at most _RUN bases takes it plainly, as W**cycles has at most
+    _RUN * bits(W) bits.  A longer one takes it as r**cycles << a * cycles
+    for W = 2**a * r, r odd (10**30010 in 0.43 ms, against 0.73 ms as a
+    power of 10, Python 3.11.7).  More than _RUN other factors go in runs
+    of _RUN, whose products _merge_runs multiplies in pairs counted from
+    the right, with zero numerators, so m rule bases cost O(M(m) log m).
+    A range or product too large for _sized_split raises DomainError
+    before any multiply."""
+    factors, whole, cycles = _sized_split(Q, lo, hi)
     if hi - lo < _RUN:
         return math.prod(factors) * whole**cycles
     a = (whole & -whole).bit_length() - 1
@@ -423,7 +428,9 @@ def parse_qseq(text: str) -> QSequence:
         raise ParseError(f"expected <kind>:<spec>, got {text!r}")
     try:
         if head == "const":
-            (b,) = _parse_ints(rest, "const")
+            b, *more = _parse_ints(rest, "const")
+            if more:
+                raise ParseError(f"const form takes one base, got {text!r}")
             return Constant(b)
         if head == "periodic":
             return Periodic(_parse_ints(rest, "period"))

@@ -31,11 +31,11 @@ from .foundation import (
     _base_product_mod,
     _is_int,
     _of,
+    _product,
     _record,
     _sequence,
     _sized_split,
     _unchecked,
-    base_product,
     iter_bases,
 )
 from .expansion import DigitWord, _expand, _unit_value, _word_positional
@@ -162,7 +162,7 @@ def certify_rational(x: Rational | int, Q: QSequence) -> RationalityCertificate:
     """
     x = _unit_value(x)
     n, m, u = _recurrence(x, Q)
-    return RationalityCertificate(n, m, Fraction(u, x.denominator), base_product(Q, n + 1, n + m))
+    return RationalityCertificate(n, m, Fraction(u, x.denominator), _product(Q, n + 1, n + m))
 
 
 def verify_certificate(x: Rational | int, Q: QSequence, cert: RationalityCertificate) -> CertificateCheck:
@@ -219,7 +219,7 @@ def _check_recurrence(
         _sized_split(Q, n + 1, n + m)  # the same bounds as with a claim
         gap = (_base_product_mod(Q, n + 1, n + m, v) - 1) % v
     else:
-        product = base_product(Q, n + 1, n + m)
+        product = _product(Q, n + 1, n + m)
         gap = (product - 1) % v
     u_n = x.numerator * head % v
     if u_n * gap % v:
@@ -245,7 +245,7 @@ def block_description(x: Rational | int, Q: QSequence) -> BlockDescription:
     n, m, _ = _recurrence(x, Q)
     _sized_split(Q, n + 1, n + m)
     digits, _ = _expand(x.numerator, x.denominator, Q, 1, n + m)
-    return BlockDescription(_unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
+    return _unchecked(BlockDescription, _unchecked(DigitWord, digits[:n], 1), _unchecked(DigitWord, digits[n:], n + 1))
 
 
 def reconstruct(desc: BlockDescription, Q: QSequence) -> Rational:

@@ -24,11 +24,11 @@ from .foundation import (
     _check_count,
     _check_int,
     _of,
+    _product,
     _record,
     _sequence,
     _span,
     _unchecked,
-    base_product,
     iter_bases,
     tail_min,
 )
@@ -77,7 +77,7 @@ class CofiniteExpansion:
 
 def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
     """Canonicalise raw head digits by folding trailing maximal digits left."""
-    word = DigitWord(tuple(digits))
+    word = DigitWord(digits)
     validate_digits(word, Q)
     ds = list(word.digits)
     qs = _span(Q, 1, len(ds))
@@ -85,7 +85,7 @@ def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
         ds.pop()
     if not ds:
         raise DomainError("head folds away entirely: the all-maximal expansion of 1 is out of domain")
-    return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
+    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, tuple(ds), 1))
 
 
 def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
@@ -128,7 +128,7 @@ def _twin(digits: Sequence[int]) -> CofiniteExpansion:
     if not ds:
         raise DomainError("the zero value has no trailing-maximum twin")
     ds[-1] -= 1
-    return CofiniteExpansion(_unchecked(DigitWord, tuple(ds), 1))
+    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, tuple(ds), 1))
 
 
 def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteExpansion | DigitWord:
@@ -399,7 +399,8 @@ def regroup(
     x = _unit_value(x)
 
     _check_count(bps[-1])
-    products = tuple(base_product(Q, lo + 1, hi) for lo, hi in zip((0,) + bps, bps))
+    _sequence(Q)
+    products = tuple(_product(Q, lo + 1, hi) for lo, hi in zip((0,) + bps, bps))
     lams, _ = _digits(x.numerator, x.denominator, products)
     blocks = [RegroupBlock(lam, prod - 1) for lam, prod in zip(lams, products)]
 

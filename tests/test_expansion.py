@@ -225,6 +225,13 @@ def test_a_long_word_of_digits_past_two_bytes_folds_one_multiply_per_digit():
     with pytest.raises(DomainError) as bad:
         evaluate_finite(DigitWord(digits[:40] + (65537,) + digits[41:]), Q)
     assert str(bad.value) == "digit 65537 at position 41 out of range for base 65537"
+    # a digit past one byte in the last partial period, after a prefix and
+    # no whole period, or after 33 whole periods, leaves the word unpacked
+    rows = [(PrefixPeriodic((3,) * 65, (300, 2)), (1,) * 65 + (266,)), (Periodic((300, 2)), (255, 1) * 33 + (266,))]
+    for Q, digits in rows:
+        word, qs = DigitWord(digits), Q.prefix + Q.period * 34
+        assert _packed(word, Q) is None
+        assert _word_positional(word, Q) == oracle_positional(digits, qs[: len(digits)])
 
 
 

@@ -154,8 +154,10 @@ def test_parse_qseq(text, expected):
     ],
 )
 def test_parse_qseq_rejects(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as bad:
         parse_qseq(text)
+    if text == "const:2,3":  # named by the grammar, not by an unpacking error
+        assert str(bad.value) == "const form takes one base, got 'const:2,3'"
 
 
 @pytest.mark.parametrize(
