@@ -5,9 +5,7 @@ expansion hands over every digit past the prefix of a word of more than _RUN
 digits on a list-backed Q with a period of L <= _RUN bases when each is
 below 256: pack checks them all, the last partial period included, and fold
 folds the whole periods.  It hands over the whole periods past the prefix of
-an expansion of at least _LANES_FROM digits on such a Q with every period
-base at most 256: at a denominator of at most _LANE_BITS bits (more digits
-past 47 bits) or on a period product of at most _LANE_BITS bits.
+the long expansions that expansion._expand, the one lane gate, sends here.
 foundation._split cuts the periods out, and expansion runs the prefix part
 and the last partial period.  Both paths keep one period's digits or residue
 in a lane of one int (SWAR, L. Lamport, CACM 18 (1975), 471-475): the fold
@@ -25,7 +23,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .foundation import _RUN, _merge_runs
+from .foundation import _LANE_BITS, _RUN, _merge_runs
 
 # The bytes below q are _BYTES[:q]: deleting them from the digits of base q
 # leaves exactly the digits out of range.
@@ -42,16 +40,17 @@ _CHUNK = 256
 # for; 256 and 4096 lanes ran within 10% of it on 30,000 digits (Python
 # 3.11.7, shared VM).
 _LANES = 1024
-# For a v past 64 bits, expand_lanes' lane modulus, the largest power of the
-# period product below 2**_LEAF_BITS (the product itself past that), and its
-# chunks of about _CHUNK_BITS bits, one division by v each.  Swept over 16-64 and 256-4,096 bits on the
-# six list-backed dual forms of the benchmark, the sum of their times was
-# least at 24 and 1,024 (2.61 ms; 2.74 at 32 and 512, 3.24 at 64 and 1,024,
-# 3.56 at 64 and 4,096): a narrower modulus steps fewer runs a lane in
-# narrower lanes, a wider one cuts fewer leaves in Python (Python 3.11.7,
-# shared VM).  One division of u * W**K by v, split over cached powers of W
-# (Brent and Zimmermann, Modern Computer Arithmetic, 1.7), took 0.60 ms
-# against 0.53 ms for the chunks on const:10 at 4,000 digits.
+# For a v past _LANE_BITS bits, expand_lanes' lane modulus, the largest
+# power of the period product below 2**_LEAF_BITS (the product itself past
+# that), and its chunks of about _CHUNK_BITS bits, one division by v each.
+# Swept over 16-64 and 256-4,096 bits on the six list-backed dual forms of
+# the benchmark, the sum of their times was least at 24 and 1,024 (2.61 ms;
+# 2.74 at 32 and 512, 3.24 at 64 and 1,024, 3.56 at 64 and 4,096): a
+# narrower modulus steps fewer runs a lane in narrower lanes, a wider one
+# cuts fewer leaves in Python (Python 3.11.7, shared VM).  One division of
+# u * W**K by v, split over cached powers of W (Brent and Zimmermann, Modern
+# Computer Arithmetic, 1.7), took 0.60 ms against 0.53 ms for the chunks on
+# const:10 at 4,000 digits.
 _LEAF_BITS = 24
 _CHUNK_BITS = 1024
 
@@ -158,24 +157,23 @@ def expand_lanes(u: int, v: int, run: tuple[int, ...], K: int) -> tuple[bytearra
     product of the run's later bases, writes that base's digit of every
     lane to every (S * L)-th byte of the output.
 
-    The lanes start in one of two ways.  For v of at most 64 bits, m = v:
-    S is at least ceil(K / _LANES), and at least the g periods whose
+    The lanes start in one of two ways.  For v of at most _LANE_BITS bits,
+    m = v: S is at least ceil(K / _LANES), and at least the g periods whose
     product is at most 256, so that short expansions take whole runs too
-    (const:2 steps 8 bases at once, periodic:2,3 six and const:10 two),
-    and lane i starts at the residue of period i * S, u * W**(i*S) mod v
-    for the period product W, built by doubling (lanes k..2k-1 are lanes
-    0..k-1 times W**(k*S) mod v).  For a wider v, m = W**S for the most
-    periods S, at least one, with W**S below 2**_LEAF_BITS.  The K periods
-    are cut into chunks of C periods, S times the leaves of m that fill
-    _CHUNK_BITS, and each chunk's digits are those of N/W**C for
-    N, u = divmod(u * W**C, v), the partial-sum identity applied to the
-    chunk's first state.  N's base-m digits, its leaves, are the lanes'
-    start, S periods each, and the state after the last chunk is the last
-    u.  At most _LANES lanes step at once, so the ints stay bounded however
-    many digits are asked for.
+    (const:2 steps 8 bases at once, periodic:2,3 six and const:10 two), and
+    lane i starts at the residue of period i * S, u * W**(i*S) mod v for the
+    period product W, built by doubling (lanes k..2k-1 are lanes 0..k-1
+    times W**(k*S) mod v).  For a wider v, m = W**S for the most periods S,
+    at least one, with W**S below 2**_LEAF_BITS.  The K periods are cut into
+    chunks of C periods, S times the leaves of m that fill _CHUNK_BITS, and
+    each chunk's digits are those of N/W**C for N, u = divmod(u * W**C, v),
+    the partial-sum identity applied to the chunk's first state.  N's base-m
+    digits, its leaves, are the lanes' start, S periods each, and the state
+    after the last chunk is the last u.  At most _LANES lanes step at once,
+    so the ints stay bounded however many digits are asked for.
     """
     W, L = math.prod(run), len(run)
-    if v.bit_length() <= 64:
+    if v.bit_length() <= _LANE_BITS:
         g = 1  # the periods that one run of product at most 256 can hold
         while W ** (g + 1) <= 256:
             g += 1

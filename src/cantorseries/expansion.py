@@ -22,6 +22,7 @@ from .foundation import (
     ListBacked,
     QSequence,
     Rational,
+    _LANE_BITS,
     _RUN,
     _base_product_mod,
     _check_count,
@@ -103,11 +104,9 @@ def _digits(u: int, v: int, bases: Iterable[int]) -> tuple[tuple[int, ...], int]
     state u_m: e_k, u_k = divmod(q_k * u_{k-1}, v) is the shift operator on
     integers, as sigma^k(u/v) = u_k/v.  One step per digit serves rule
     sequences, list-backed ones off the lanes and regroup's block
-    products.  The whole periods of long expansions on a list-backed Q of
-    bases at most 256 take _packing.expand_lanes instead, at a v of at
-    most _LANE_BITS bits or a period product of at most _LANE_BITS bits
-    (see _expand); the prefix part and the last partial period of those
-    still come here.
+    products.  The whole periods of the long expansions that _expand's
+    gate sends to _packing.expand_lanes take the lanes instead; the prefix
+    part and the last partial period of those still come here.
     """
     out: list[int] = []
     for q in bases:
@@ -253,18 +252,15 @@ def shift_step(state: ShiftState, q: int) -> tuple[int, ShiftState]:
     return digit, _unchecked(ShiftState, state.step + 1, scaled - digit)
 
 
-# _expand hands counts of at least _LANES_FROM digits on a list-backed Q to
-# _packing.expand_lanes: for a v of at most _LANE_BITS bits, doubled at 48,
-# 56 and 64 bits of v; for a wider v, on a period product W of at most
-# _LANE_BITS bits.  Over 65- to 16,384-bit v, the wide lanes took 0.08 to
-# 0.83 times the time of one step per digit at 256 digits on const:2,
+# The least count that _expand, the lane gate, hands to
+# _packing.expand_lanes.  Over 65- to 16,384-bit v, the wide lanes took 0.08
+# to 0.83 times the time of one step per digit at 256 digits on const:2,
 # const:10, periodic:2,3 and periodic:5,2,7 (0.19 to 1.40 on const:256,
 # whose digits fill a byte each), and 0.09 to 4.6 times at 32 to 128
 # digits; past W = 2**64 they took 0.20 to 2.3 times at 79 and 94 bits of
 # W, winning only from v of 1,024 bits on, and 1.3 to 22 times for a
 # 64-base period of bases 193-256 (Python 3.11.7, shared VM).
 _LANES_FROM = 256
-_LANE_BITS = 64
 _expand_lanes = None  # _packing.expand_lanes, imported for the first long expansion
 
 
@@ -272,30 +268,31 @@ def _expand(u: int, v: int, Q: QSequence, lo: int, count: int) -> tuple[tuple[in
     """_digits(u, v, _span(Q, lo, count)): the digits of reduced u/v under
     the count bases from position lo, and the last state.
 
-    _digits makes them unless Q is list-backed with a period of at most
-    _RUN bases, all at most 256, count is at least _LANES_FROM, and either
-    v has at most _LANE_BITS bits and count is past _LANES_FROM doubled at
-    48, 56 and 64 bits of v, or v is wider and the period product W has
-    at most _LANE_BITS bits.  There _packing.expand_lanes steps the whole
+    This is the one lane gate.  _digits makes the digits unless Q is
+    list-backed with a period of at most _RUN bases, all at most 256, count
+    is at least _LANES_FROM, and v or the period product W has at most
+    _LANE_BITS bits.  There _packing.expand_lanes steps the whole
     periods past the prefix (foundation._split) on up to 1024 lanes of one
     int, a run of bases of product at most 256 per step, from residues of
-    v, or for a wide v from the leaves of one division of v per chunk of
+    v, or for a wider v from the leaves of one division of v per chunk of
     about 1,024 bits; _digits takes the prefix part and the last partial
     period.  The n + m digits of 12345/30011 took 0.13 to 0.22 times the
     loop's time (30,010 digits on const:2 in 0.35 ms, against 2.8 ms), and
     the 1,000 to 8,000 digits of the benchmark's list-backed dual forms,
     at v of 2,110 to 13,290 bits, 0.05 to 0.20 times the loop's (8,000
-    digits on const:2 in 0.75 ms, against 13.7 ms).  At v of at
-    most 64 bits the lanes overtake the loop by 256 digits up to 47 bits
-    on the benchmark's list-backed sequences; const:10, the slowest on
-    them, breaks even near 384 to 512 digits at 48 to 56 bits and near
-    2,048 at 64 (Python 3.11.7, shared VM).
+    digits on const:2 in 0.75 ms, against 13.7 ms).  At v of 48 to 64
+    bits and 256 to 2,047 digits, a band no benchmark workload reaches,
+    the lanes took 0.29 to 0.72 times the loop's time on const:2, 0.33 to
+    0.78 on periodic:2,3, 0.50 to 1.04 on periodic:5,2,7 and
+    prefix:7,3,250;2,3,5, and 0.71 to 1.21 on const:10, past 1.05 only
+    from 60 bits at up to 768 digits (8 us at most); const:256, whose
+    digits fill a byte each, took 0.95 to 2.01 there, and 0.56 to 1.45 at
+    16 to 47 bits (best of 7 in 3 rounds, Python 3.11.7, shared VM).
     """
     global _expand_lanes
     if count < _LANES_FROM or not (
         isinstance(Q, ListBacked) and len(Q.period) <= _RUN and max(Q.period) <= 256
-        and (count >= _LANES_FROM << max(v.bit_length(), 40) // 8 - 5 if v.bit_length() <= _LANE_BITS
-             else math.prod(Q.period).bit_length() <= _LANE_BITS)
+        and min(v, math.prod(Q.period)).bit_length() <= _LANE_BITS
     ):
         return _digits(u, v, _span(Q, lo, count))
     if _expand_lanes is None:
@@ -314,10 +311,7 @@ def expand(x: Rational | int, Q: QSequence, count: int) -> tuple[DigitWord, Shif
     Digits follow the greedy floor rule, which picks the terminating (all
     zero tail) representation whenever two exist.  _expand makes them:
     one step per digit, or whole periods at once on lanes of one int for
-    an expansion of at least 256 digits on a list-backed Q of bases at
-    most 256, at a v = x.denominator of at most 64 bits or, past that, a
-    period product of at most 64 bits, where one division of v per chunk
-    of about 1,024 bits starts the lanes.
+    the long expansions that its gate sends there.
     """
     x = _unit_value(x)
     _sequence(Q)  # a Q that is not a QSequence raises TypeError before a bad count

@@ -217,6 +217,9 @@ def _check_count(count: int) -> int:
 
 
 _RUN = 64  # bases handled one at a time within a run; whole runs are merged or stepped
+# The widest v whose expansion lanes start at residues of v, and past it the
+# widest period product that the lanes take (see expansion._expand).
+_LANE_BITS = 64
 
 
 def _merge_runs(nums: list[int], prods: list[int] | int) -> tuple[int, int]:

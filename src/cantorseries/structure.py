@@ -39,7 +39,6 @@ from .expansion import (
     _unit_value,
     _word_positional,
     evaluate_finite,
-    shift_value,
     validate_digits,
 )
 
@@ -229,12 +228,11 @@ def shift_constant_check(
 
     Block descriptions are reconstructed to their exact value first.  The
     window's digits are expansion._expand's over its `horizon` bases from
-    sigma^{n0}(x) = a/b, one modular power by shift_value: on lanes of one
-    int for a long window on a list-backed Q at a b of at most 64 bits, or
-    at a wider b on a period product of at most 64 bits, as in expand,
-    else one step per digit.  Each position is compared in
-    integers, e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0;
-    one ending past sys.maxsize raises DomainError.  For a list-backed Q
+    sigma^{n0}(x) = a/b, one modular power as in shift_value: on lanes of
+    one int where _expand's gate sends them, as in expand, else one step
+    per digit.  Each position is compared in integers,
+    e_n * b == (q_n - 1) * a, so it costs O(horizon) for any n0; one
+    ending past sys.maxsize raises DomainError.  For a list-backed Q
     the pair (shift state, position in period) recurs within denominator *
     period steps, so a clean window of that length decides the property
     for all n; shorter clean windows are reported as inconclusive, while
@@ -248,14 +246,15 @@ def shift_constant_check(
     _check_int(n0, 0, "window start")
     _check_count(_check_int(horizon, 1, "window length") + n0)
 
-    target = shift_value(x, Q, n0)
+    v = x.denominator
+    target = Fraction(x.numerator * _base_product_mod(_sequence(Q), 1, n0, v) % v, v)
     a, b = target.numerator, target.denominator
     digits, _ = _expand(a, b, Q, n0 + 1, horizon)
     qs = _span(Q, n0 + 1, horizon)
     witnesses = tuple(zip(range(n0 + 1, n0 + horizon + 1), digits, qs))
     holds = all(e * b == (q - 1) * a for e, q in zip(digits, qs))
     conclusive = not holds or (
-        isinstance(Q, ListBacked) and horizon >= max(n0, len(Q.prefix)) - n0 + x.denominator * len(Q.period)
+        isinstance(Q, ListBacked) and horizon >= max(n0, len(Q.prefix)) - n0 + v * len(Q.period)
     )
     return ShiftConstantReport(holds, n0, target if holds else None, witnesses, conclusive)
 

@@ -414,29 +414,21 @@ LANE_PERIODS = [
     (2,), (10,), (255,), (256,), (2, 3), (5, 2, 7), (256, 255, 2), (3, 2, 2), tuple(range(193, 257)),
     (2, 128), (16, 17), (3,) * 6, (257,), (2, 257), tuple(range(2, 67)), (255,) * 8, (256,) * 8,
 ]
-# The least count that takes the lanes for any v, the most lanes, and the
-# widest v started at its residues (and the widest period product past it).
+# The least count that takes the lanes, the most lanes, and the widest v
+# started at its residues (and the widest period product past it).
 LANES_FROM, LANES, LANE_BITS = 256, 1024, 64
 # Past LANE_BITS bits of v, the lanes start at leaves below 2**LEAF_BITS, cut
 # from chunks of about CHUNK_BITS bits.
 LEAF_BITS, CHUNK_BITS = 24, 1024
 
 
-def lanes_from(v):
-    """The least count that takes the lanes for v: LANES_FROM up to 47
-    bits, doubled at 48, 56 and 64 bits, and LANES_FROM past LANE_BITS."""
-    if v.bit_length() > LANE_BITS:
-        return LANES_FROM
-    return LANES_FROM * 2 ** max(0, (v.bit_length() - 40) // 8)
-
-
 def takes_lanes(v, period, count):
     """Whether `count` digits of u/v on a list-backed Q with this period
     come off the lanes: a period of at most 64 bases, all at most 256, a
-    count of at least lanes_from(v), and past LANE_BITS bits of v a period
-    product of at most LANE_BITS bits."""
+    count of at least LANES_FROM for every v, and past LANE_BITS bits of v
+    a period product of at most LANE_BITS bits."""
     wide = v.bit_length() > LANE_BITS and math.prod(period).bit_length() > LANE_BITS
-    return len(period) <= 64 and max(period) <= 256 and count >= lanes_from(v) and not wide
+    return len(period) <= 64 and max(period) <= 256 and count >= LANES_FROM and not wide
 
 
 def wide_lane_periods(period):
@@ -451,11 +443,10 @@ def wide_lane_periods(period):
 
 def lane_denominators(period):
     """Denominators for the lane cases: v = 1 (x = 0); any v up to
-    LANE_BITS bits; either side of a width where the lane threshold
-    doubles (47/48, 55/56, 63/64 bits) or the start changes (64/65 bits);
-    any v of 65 to 4,096 bits; or a product of 1 to 600 period bases,
-    whose expansion ends in zeros from some digit on, as a dual form's
-    does, at any point of a chunk."""
+    LANE_BITS bits; either side of 48, 56 and 64 bits, and of 65 bits,
+    where the start changes; any v of 65 to 4,096 bits; or a product of 1
+    to 600 period bases, whose expansion ends in zeros from some digit on,
+    as a dual form's does, at any point of a chunk."""
     return st.one_of(
         st.sampled_from([1, 2**47 - 115, 2**47 + 5, 2**55 - 55, 2**55 + 81,
                          2**63 - 25, 2**63 + 29, 2**LANE_BITS - 59, 2**LANE_BITS + 13]),
@@ -473,11 +464,11 @@ def lane_cases(draw, period):
     The prefix is empty, 1 to 3 bases (mostly not a whole number of
     periods, so a phase counted from position 1 would be wrong) or 65 to
     80.  x = u/v with v from lane_denominators, up to 4,096 bits.  The
-    count is the lane threshold for any v or for this v, one less or one
-    more; or it leaves K whole periods past the prefix, plus a partial
-    last period, with K around one period a lane (LANES), two, or g and
-    g + 1 for the g periods one run can hold, or around one chunk or one
-    pass of the wide lanes, or up to 3,000.
+    count is the lane threshold, one less or one more; or it leaves K
+    whole periods past the prefix, plus a partial last period, with K
+    around one period a lane (LANES), two, or g and g + 1 for the g
+    periods one run can hold, or around one chunk or one pass of the wide
+    lanes, or up to 3,000.
     """
     prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
                             st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
@@ -493,9 +484,7 @@ def lane_cases(draw, period):
         st.integers(min_value=0, max_value=3000),
     ))
     past = K * L + draw(st.integers(min_value=0, max_value=L - 1))
-    least = lanes_from(v)
-    count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1,
-                                  len(prefix) + past]))
+    count = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, len(prefix) + past]))
     return x, Q, max(count, 1)
 
 
@@ -508,10 +497,9 @@ def window_cases(draw, period):
     phase.  Half the time x has random digits up to n0 and then
     sigma^n0(x) = k/g, g the gcd of q - 1 over every base past n0, so the
     window holds; else x = u/v with v from lane_denominators, so that
-    sigma^n0(x) keeps a wide denominator from n0 > 0 on.  The horizon is the
-    lane threshold for any v or for sigma^n0(x)'s denominator b, one less
-    or one more; or it leaves K whole periods past the prefix, K up to one
-    past LANES, plus a partial last period.
+    sigma^n0(x) keeps a wide denominator from n0 > 0 on.  The horizon is
+    the lane threshold, one less or one more; or it leaves K whole periods
+    past the prefix, K up to one past LANES, plus a partial last period.
     """
     prefix = draw(st.one_of(st.just(()), st.lists(base_entries(), min_size=1, max_size=3).map(tuple),
                             st.lists(base_entries(), min_size=65, max_size=80).map(tuple)))
@@ -532,11 +520,9 @@ def window_cases(draw, period):
     else:
         v = draw(lane_denominators(period))
         x = Fraction(draw(st.integers(min_value=0, max_value=v - 1)), v)
-    b = x.denominator // math.gcd(x.denominator, math.prod(before))
     K = draw(st.sampled_from([0, 1, 2, 3, LANES - 1, LANES + 1]))
     past = max(0, edge - n0) + K * L + draw(st.integers(min_value=0, max_value=L - 1))
-    least = lanes_from(b)
-    horizon = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, least - 1, least, least + 1, past]))
+    horizon = draw(st.sampled_from([LANES_FROM - 1, LANES_FROM, LANES_FROM + 1, past]))
     return x, Q, n0, max(horizon, 1)
 
 

@@ -234,7 +234,7 @@ def test_packed_check_and_fold_match_one_step_per_digit(period, data):
 def test_lane_expansion_matches_the_greedy_digits(period, data):
     # The digits and the final state are those of plain Fraction steps, on
     # the lanes and off them, for v up to 4,096 bits.  The lanes are taken
-    # exactly when takes_lanes says: a count of at least lanes_from(v), a
+    # exactly when takes_lanes says: a count of at least LANES_FROM, a
     # period of at most 64 bases, all at most 256, and past LANE_BITS bits
     # of v, where they start from one division of v a chunk, a period
     # product of at most LANE_BITS bits.
