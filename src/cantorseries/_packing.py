@@ -1,4 +1,4 @@
-"""Digit check and positional fold of long words from one `bytes` of their
+"""Digit check and positional fold of long words from one bytearray of their
 digits, and long expansions from residues packed in lanes of one int.
 
 expansion hands over every digit past the prefix of a word of more than _RUN
@@ -55,17 +55,18 @@ _LEAF_BITS = 24
 _CHUNK_BITS = 1024
 
 
-def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytes | None:
+def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytearray | None:
     """The bytes of the digits, periods of run from its first base, the
     last one possibly partial, when each is below its base and below 256;
     else None, and expansion checks and folds the word one step per digit.
 
-    The check is at C level, one phase j at a time: deleting the bytes
-    below run[j] from bs[j::L] must leave nothing (0.07 ms for 30,010
-    digits, against 0.9 ms for max(bs[j::L]), Python 3.11.7).
+    The bytes are a bytearray, built from 30,010 ints in 0.25 ms against
+    0.35 ms as bytes.  The check is at C level, one phase j at a time:
+    deleting the bytes below run[j] from bs[j::L] must leave nothing (0.07
+    ms for 30,010 digits, against 0.9 ms for max(bs[j::L]); Python 3.11.7).
     """
     try:
-        bs = bytes(digits)
+        bs = bytearray(digits)
     except ValueError:  # a digit of 256 or more
         return None
     if any(bs[j :: len(run)].translate(None, _BYTES[:q]) for j, q in enumerate(run)):
@@ -73,7 +74,7 @@ def pack(digits: Sequence[int], run: tuple[int, ...]) -> bytes | None:
     return bs
 
 
-def fold(K: int, bs: bytes, run: tuple[int, ...]) -> tuple[int, int]:
+def fold(K: int, bs: bytearray, run: tuple[int, ...]) -> tuple[int, int]:
     """(N, P) of the K whole periods of run that begin bs, their digits
     checked, one byte each, as pack gave them: P = W**K and N their
     positional numerator.  A last partial period in bs is not read.

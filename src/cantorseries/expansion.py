@@ -155,9 +155,11 @@ def _walk(digits: Sequence[int], Q: QSequence, start: int, tail: int) -> tuple[i
     tail 0 or 1, walked from the right: a tail worth a/b, reduced, and the
     digit e of base q left of it are worth (e*b + a)/(q*b), which only q
     can reduce.  As the tails of u/v are worth u_k/v, b never passes the
-    value's own denominator and only grows leftward; once it passes
-    _WALK_BELOW, _positional folds the digits left of that point into
-    (N', P') and the pair is (N'*b + a, P'*b).
+    value's own denominator and only grows leftward; mostly it stays, as q
+    divides e*b + a, so each step is one divmod by q, and only a remainder
+    r takes gcd(r, q) = gcd(e*b + a, q).  Once b passes _WALK_BELOW,
+    _positional folds the digits left of that point into (N', P') and the
+    pair is (N'*b + a, P'*b).
     """
     a, b, k = tail, 1, len(digits)
     for e, q in zip(reversed(digits), reversed(_span(Q, start, k))):
@@ -165,8 +167,11 @@ def _walk(digits: Sequence[int], Q: QSequence, start: int, tail: int) -> tuple[i
             num, prod = _positional(digits[:k], Q, start)
             return num * b + a, prod * b
         num = e * b + a
-        g = math.gcd(num, q)
-        a, b, k = num // g, q // g * b, k - 1
+        a, r = divmod(num, q)
+        if r:
+            g = math.gcd(r, q)
+            a, b = num // g, q // g * b
+        k -= 1
     return a, b
 
 
@@ -176,14 +181,15 @@ def _walk(digits: Sequence[int], Q: QSequence, start: int, tail: int) -> tuple[i
 _pack = _fold_packed = None
 
 
-def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], bytes] | None:
+def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], int, int], bytearray] | None:
     """validate_digits(word, Q), returning foundation._split's cut of the
     word and _packing.pack's form of every digit past the prefix when it
     has one: it has more than _RUN digits on a list-backed Q with a period
     of at most _RUN bases, and its digits past the prefix, the last
     partial period included, are below 256.  The prefix part is checked
-    one step per digit, and so is every other word, and the whole word
-    once a check fails, to name the first bad digit.
+    in one C-level pass, and so is any other word, and the whole word once
+    a check fails; only a pass that finds a bad digit is followed by a
+    second, which names the first.
     """
     global _pack, _fold_packed
     digits, start = _of(DigitWord, word).digits, word.start
@@ -194,8 +200,8 @@ def _packed(word: DigitWord, Q: QSequence) -> tuple[tuple[int, tuple[int, ...], 
         if (packed := _pack(digits[head:], run)) is not None and all(map(lt, digits, Q.prefix[start - 1 :])):
             return split, packed
     qs = _span(_sequence(Q), start, len(digits))
-    k = next(compress(range(len(digits)), map(ge, digits, qs)), None)
-    if k is not None:
+    if any(map(ge, digits, qs)):
+        k = next(compress(range(len(digits)), map(ge, digits, qs)))
         raise DomainError(f"digit {digits[k]} at position {start + k} out of range for base {qs[k]}")
     return None
 

@@ -78,13 +78,13 @@ def fold_cofinite(digits: Sequence[int], Q: QSequence) -> CofiniteExpansion:
     """Canonicalise raw head digits by folding trailing maximal digits left."""
     word = DigitWord(digits)
     validate_digits(word, Q)
-    ds = list(word.digits)
-    qs = _span(Q, 1, len(ds))
-    while ds and ds[-1] == qs[len(ds) - 1] - 1:
-        ds.pop()
-    if not ds:
+    ds, m = word.digits, len(word)
+    qs = _span(Q, 1, m)
+    while m and ds[m - 1] == qs[m - 1] - 1:
+        m -= 1
+    if not m:
         raise DomainError("head folds away entirely: the all-maximal expansion of 1 is out of domain")
-    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, tuple(ds), 1))
+    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, ds[:m], 1))
 
 
 def cofinite_value(cof: CofiniteExpansion, Q: QSequence) -> Rational:
@@ -118,16 +118,15 @@ class DualRepresentationReport:
     cofinite_form: CofiniteExpansion | None = None
 
 
-def _twin(digits: Sequence[int]) -> CofiniteExpansion:
+def _twin(digits: tuple[int, ...]) -> CofiniteExpansion:
     """The trailing-maximum twin of checked finite digits at positions 1,
     2, ...: trailing zeros trimmed, then the last digit decremented."""
-    ds = list(digits)
-    while ds and ds[-1] == 0:
-        ds.pop()
-    if not ds:
+    m = len(digits)
+    while m and digits[m - 1] == 0:
+        m -= 1
+    if not m:
         raise DomainError("the zero value has no trailing-maximum twin")
-    ds[-1] -= 1
-    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, tuple(ds), 1))
+    return _unchecked(CofiniteExpansion, _unchecked(DigitWord, digits[: m - 1] + (digits[m - 1] - 1,), 1))
 
 
 def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteExpansion | DigitWord:
@@ -145,11 +144,10 @@ def convert_dual(form: DigitWord | CofiniteExpansion, Q: QSequence) -> CofiniteE
         return _twin(form.digits)
     if isinstance(form, CofiniteExpansion):
         validate_digits(form.head, Q)
-        ds = list(form.head.digits)
+        ds = form.head.digits
         if ds[-1] > _span(Q, len(ds), 1)[0] - 2:
             raise DomainError(f"cofinite head not canonical: digit at position {len(ds)} must be <= base - 2")
-        ds[-1] += 1
-        return _unchecked(DigitWord, tuple(ds), 1)
+        return _unchecked(DigitWord, ds[:-1] + (ds[-1] + 1,), 1)
     raise TypeError(f"expected DigitWord or CofiniteExpansion, got {form!r}")
 
 

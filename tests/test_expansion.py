@@ -213,6 +213,16 @@ def test_validate_digits_names_the_first_bad_position_and_its_base():
         validate_digits(DigitWord((299, 1) * 40 + (300, 1) + (0, 1) * 10), parse_qseq("periodic:300,2"))
     assert str(bad.value) == "digit 300 at position 81 out of range for base 300"
     validate_digits(DigitWord((2, 3, 4, 5), start=1), Q)
+    # long rule:odd words: the one pass over every digit finds a bad one,
+    # and a second names the first, the last digit or the first of two
+    maximal = tuple(range(2, 401, 2))  # q_k - 1 = 2k at positions 1..200
+    validate_digits(DigitWord(maximal), ODD)
+    with pytest.raises(DomainError) as bad:
+        validate_digits(DigitWord(maximal[:-1] + (401,)), ODD)
+    assert str(bad.value) == "digit 401 at position 200 out of range for base 401"
+    with pytest.raises(DomainError) as bad:
+        validate_digits(DigitWord(maximal[:69] + (141,) + maximal[70:149] + (999,) + maximal[150:]), ODD)
+    assert str(bad.value) == "digit 141 at position 70 out of range for base 141"
 
 
 def test_a_long_word_of_digits_past_two_bytes_folds_one_multiply_per_digit():

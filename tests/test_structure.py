@@ -155,6 +155,12 @@ def test_convert_two_digits_and_back():
 def test_convert_trims_trailing_zeros_first():
     cof = convert_dual(DigitWord((1, 2, 0, 0)), P23)
     assert cof.head.digits == (1, 1)
+    # past 64 digits, on rule:odd: 70 digits k < 2k + 1, then 10 zeros
+    word = DigitWord(tuple(range(1, 71)) + (0,) * 10)
+    cof = convert_dual(word, ODD)
+    assert cof.head.digits == tuple(range(1, 70)) + (69,)
+    assert convert_dual(cof, ODD).digits == tuple(range(1, 71))
+    assert cofinite_value(cof, ODD) == evaluate_finite(word, ODD)
 
 
 def test_convert_rejects_zero_word():
@@ -162,6 +168,8 @@ def test_convert_rejects_zero_word():
         convert_dual(DigitWord(()), P23)
     with pytest.raises(DomainError):
         convert_dual(DigitWord((0, 0)), P23)
+    with pytest.raises(DomainError, match="^the zero value has no trailing-maximum twin$"):
+        convert_dual(DigitWord((0,) * 70), ODD)
 
 
 def test_convert_rejects_a_word_past_position_one_and_any_other_value():
@@ -169,6 +177,9 @@ def test_convert_rejects_a_word_past_position_one_and_any_other_value():
         convert_dual(DigitWord((1,), start=2), P23)
     with pytest.raises(TypeError, match="expected DigitWord or CofiniteExpansion"):
         convert_dual(Fraction(1, 2), P23)
+    # a 70-digit finite form with a digit past its base, as validate_digits names it
+    with pytest.raises(DomainError, match="^digit 81 at position 40 out of range for base 81$"):
+        convert_dual(DigitWord((1,) * 39 + (81,) + (1,) * 30), ODD)
 
 
 def test_cofinite_head_must_start_at_position_one():
@@ -179,17 +190,27 @@ def test_cofinite_head_must_start_at_position_one():
 def test_convert_rejects_non_canonical_cofinite():
     with pytest.raises(DomainError):
         convert_dual(CofiniteExpansion(DigitWord((1, 2))), P23)
+    # a 70-digit head with a digit past its base, and a maximal last
+    # digit: the digits are checked first, as validate_digits names them
+    with pytest.raises(DomainError, match="^digit 81 at position 40 out of range for base 81$"):
+        convert_dual(CofiniteExpansion(DigitWord((1,) * 39 + (81,) + (1,) * 29 + (140,))), ODD)
 
 
 def test_fold_cofinite_folds_maximal_tail_left():
     cof = fold_cofinite((0, 2), P23)
     assert cof.head.digits == (0,)
     assert cofinite_value(cof, P23) == Fraction(1, 2)
+    # past 64 digits, on rule:odd: 70 digits k, then q_k - 1 = 2k at 71..90
+    cof = fold_cofinite(tuple(range(1, 71)) + tuple(range(142, 181, 2)), ODD)
+    assert cof.head.digits == tuple(range(1, 71))
+    assert fold_cofinite(cof.head.digits, ODD) == cof
 
 
 def test_fold_cofinite_rejects_all_maximal():
     with pytest.raises(DomainError):
         fold_cofinite((1, 2), P23)  # folds to the empty head, value 1
+    with pytest.raises(DomainError, match="^head folds away entirely"):
+        fold_cofinite(tuple(range(2, 161, 2)), ODD)  # 80 maximal digits 2k
 
 
 @pytest.mark.parametrize("head, Q", [
